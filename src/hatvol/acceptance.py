@@ -151,7 +151,7 @@ def random_unimodular(dim, rng, entry_bound=3, steps=6):
 # criteria
 
 
-def criterion_smooth_point(fast=False, settings=None):
+def criterion_smooth_point(fast=False):
     """Normalized volume of affine space is n^n, closed form and numeric."""
     tol = 1e-9
     worst = 0.0
@@ -171,7 +171,7 @@ def criterion_smooth_point(fast=False, settings=None):
     return True, f"max relative numeric error {worst:.2e}", f"rel {tol}", ""
 
 
-def criterion_pair_witness(fast=False, settings=None):
+def criterion_pair_witness(fast=False):
     """Pair bound (1-a) n^n met exactly by the explicit witness valuation."""
     for a in (Fraction(1, 2), Fraction(2, 3)):
         for n in (2, 3):
@@ -193,7 +193,7 @@ def criterion_pair_witness(fast=False, settings=None):
     return True, "all four pairs exact, discrepancy decomposition verified", "exact equality", ""
 
 
-def criterion_normalized_multiplicity(fast=False, settings=None):
+def criterion_normalized_multiplicity(fast=False):
     """lct^2 e >= 4 on the exhaustive two-variable corpus, sharp at powers."""
     k = 6 if fast else 8
     model = MonomialPair(2, (0, 0))
@@ -215,7 +215,7 @@ def criterion_normalized_multiplicity(fast=False, settings=None):
     return True, f"min over {count} ideals (k={k}) is exactly 4", ">= 4 exact", ""
 
 
-def criterion_lech(fast=False, settings=None):
+def criterion_lech(fast=False):
     """n! colength >= multiplicity on the corpus; probe ratios stay near one."""
     kmax = 5 if fast else 8
     count = 0
@@ -235,7 +235,7 @@ def criterion_lech(fast=False, settings=None):
     return True, f"{count} ideals exact; probe ratios >= 1 for k <= {kmax}", ">= 1 exact, >= 0.9 probed", ""
 
 
-def criterion_colength_convergence(fast=False, settings=None):
+def criterion_colength_convergence(fast=False):
     """Normalized colengths stay above the volume and close in from above."""
     kmax = 6 if fast else 10
     model = MonomialPair(2, (0, 0))
@@ -264,7 +264,7 @@ def criterion_colength_convergence(fast=False, settings=None):
     return True, f"rows >= 4, value {last_value} at k={last_k}", f"<= {envelope}", detail
 
 
-def criterion_lattice_counting(fast=False, settings=None):
+def criterion_lattice_counting(fast=False):
     """Counting errors shrink along dilations; Riemann gaps stay under 2/k."""
     rng = random.Random(SEED)
     n2, n3 = (12, 5) if fast else (50, 20)
@@ -295,7 +295,7 @@ def criterion_lattice_counting(fast=False, settings=None):
     )
 
 
-def criterion_kss_cone(fast=False, settings=None):
+def criterion_kss_cone(fast=False):
     """Equality at semistable cones, strict deficit at the unstable one."""
     tol = 1e-6
     p1 = FanoConeInput(geometry.convex_hull([(0,), (2,)]), 1)
@@ -315,7 +315,7 @@ def criterion_kss_cone(fast=False, settings=None):
     return True, f"equalities exact, unstable margin {margin:.3f} of bound", f"tol {tol}, margin > 1e-3", ""
 
 
-def criterion_q_bound(fast=False, settings=None):
+def criterion_q_bound(fast=False):
     """q times the anticanonical degree never exceeds n^n at semistable bases."""
     cases = [
         (FanoConeInput(geometry.convex_hull([(0,), (2,)]), 1), 2, Fraction(4), Fraction(4)),
@@ -329,7 +329,7 @@ def criterion_q_bound(fast=False, settings=None):
     return True, "4 <= 4, 27 <= 27, 16 <= 27 exact", "exact", ""
 
 
-def criterion_cross_validation(fast=False, settings=None):
+def criterion_cross_validation(fast=False):
     """Independent paths agree: thresholds, multiplicities, scaling."""
     rng = random.Random(SEED + 1)
     model = MonomialPair(2, (0, 0))
@@ -386,14 +386,14 @@ CRITERIA = (
 )
 
 
-def run_suite(suite="fast", settings=None):
+def run_suite(suite="fast"):
     """Run the verification criteria; returns a list of CriterionResult."""
     fast = suite != "full"
     results = []
     for name, func in CRITERIA:
-        start = time.time()
+        start = time.perf_counter()
         try:
-            passed, measured, tolerance, detail = func(fast=fast, settings=settings)
+            passed, measured, tolerance, detail = func(fast=fast)
             hard = False
         except InvariantViolationError as exc:
             passed, measured, tolerance, detail = False, f"invariant violation: {exc}", "", ""
@@ -407,7 +407,7 @@ def run_suite(suite="fast", settings=None):
                 passed=passed,
                 measured=measured,
                 tolerance=tolerance,
-                runtime=time.time() - start,
+                runtime=time.perf_counter() - start,
                 detail=detail,
                 hard_failure=hard,
             )

@@ -19,20 +19,18 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from . import acceptance, geometry, invariants, monomials
+from . import geometry, invariants, monomials
 from .errors import HatvolError, ValidationError
-from .models import FanoConeInput, MonomialPair, ToricSingularity, cone_construction, fano_degree_bound, load_model
+from .models import FanoConeInput, cone_construction, fano_degree_bound, load_model
 from .rationals import format_rational, parse_rational
 
 
 @dataclass
 class Settings:
     tol: float = 1e-9
-    kss_tol: float = 1e-6
     grid_depth: int = 6
-    threads: int = 1
-    budget_n2: int = 12
-    budget_n3: int = 5
+    budget_n2: int = monomials.ENUM_BUDGETS[2]
+    budget_n3: int = monomials.ENUM_BUDGETS[3]
 
     def budgets(self):
         return {2: self.budget_n2, 3: self.budget_n3}
@@ -80,10 +78,6 @@ def resolve_settings(args):
             setattr(settings, name, _coerce_setting(name, env))
     if getattr(args, "tol", None) is not None:
         settings.tol = args.tol
-    if getattr(args, "threads", None) is not None:
-        settings.threads = args.threads
-    if settings.threads < 1:
-        raise ValidationError("invalid-config", "threads must be at least 1")
     if settings.tol <= 0:
         raise ValidationError("invalid-config", "tolerance must be positive")
     return settings
@@ -121,14 +115,17 @@ def _load_body(path):
 
 
 def _parse_k_range(text):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ValidationError("invalid-range", f"bad k-range {text!r}")
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        return list(range(lo, hi + 1, step))
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) not in (2, 3):
+                raise ValidationError("invalid-range", f"bad k-range {text!r}")
+            lo, hi = int(parts[0]), int(parts[1])
+            step = int(parts[2]) if len(parts) == 3 else 1
+            return list(range(lo, hi + 1, step))
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValidationError("invalid-range", f"bad k-range {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +134,7 @@ def _parse_k_range(text):
 
 def _cmd_hvol(args, settings):
     model = _load_model(args.model)
-    if isinstance(model, MonomialPair):
-        result = invariants.hvol_closed_form(model)
-    elif isinstance(model, ToricSingularity):
-        result = invariants.hvol_toric(model, tolerance=settings.tol, grid_depth=settings.grid_depth)
-    else:
-        result = invariants.hvol_toric(cone_construction(model), tolerance=settings.tol, grid_depth=settings.grid_depth)
+    result = invariants.hvol(model, tolerance=settings.tol, grid_depth=settings.grid_depth)
     return result.to_payload(), list(result.warnings), None
 
 
@@ -223,8 +215,10 @@ def _cmd_qbound(args, settings):
     return report.to_payload(), [], None
 
 
-def _cmd_verify(args, settings):
-    results = acceptance.run_suite(args.suite, settings=settings)
+def _cmd_verify(args):
+    from . import acceptance
+
+    results = acceptance.run_suite(args.suite)
     for result in results:
         print(result.line())
     return acceptance.suite_exit_code(results)
@@ -258,7 +252,6 @@ def build_parser():
         p.add_argument("--out", help="write the report to this file instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float, help="numeric tolerance override")
-        p.add_argument("--threads", type=int, help="worker budget for batch execution")
         p.add_argument("--config", help="key = value configuration file")
 
     p = sub.add_parser("hvol", help="normalized volume of a model")
@@ -292,9 +285,6 @@ def build_parser():
     p.add_argument("--q", required=True, type=int, help="divisibility of the anticanonical class")
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
-    p.add_argument("--tol", type=float, help=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--config", help=argparse.SUPPRESS)
     return parser
 
 
@@ -319,11 +309,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = resolve_settings(args)
         if args.command == "verify":
-            return _cmd_verify(args, settings)
+            return _cmd_verify(args)
+        settings = resolve_settings(args)
         handler = _HANDLERS[args.command]
-        started = time.time()
+        started = time.perf_counter()
         payload, warnings, csv_rows = handler(args, settings)
         job = {"command": args.command, "parameters": {}}
         for key in ("model", "ideal", "body", "c", "k", "k_min", "k_max", "k_range", "mode", "q", "epsilon"):
@@ -334,7 +324,7 @@ def main(argv=None):
             "job": job,
             "result": payload,
             "warnings": warnings,
-            "timing_ms": round((time.time() - started) * 1000.0, 3),
+            "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
         _emit(args, report, csv_rows)
         return 0

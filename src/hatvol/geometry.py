@@ -3,7 +3,7 @@
 Convex bodies are stored by their vertices; the facet system is derived
 on demand by enumerating supporting hyperplanes over all small vertex
 subsets, which is entirely adequate at desk scale. Every computation
-here (hulls, duals, volumes, slices, lattice counts, the counting and
+here (hulls, duals, volumes, lattice counts, the counting and
 Riemann-sum probes) runs over `fractions.Fraction`; no floating point
 enters this module.
 """
@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InvariantViolationError, ValidationError
+from .rationals import parse_int
 
 MAX_DIM = 4
 
@@ -117,9 +118,6 @@ class ConvexBody:
             for i in range(self.dim):
                 weighted[i] += vol * c[i]
         return tuple(w / total for w in weighted)
-
-    def slice(self, axis, t):
-        return slice_body(self, axis, t)
 
     def lattice_points(self, k):
         return lattice_points(self, k)
@@ -346,43 +344,21 @@ def volume(body):
 
 
 # ---------------------------------------------------------------------------
-# slicing
+# vertex enumeration
 
 
-def vertices_from_h(inequalities, equations, dim):
-    """Vertex enumeration of {x : <a,x> <= b, <c,x> = d} by basis search."""
-    eq_rows = [list(map(Fraction, n)) for n, _ in equations]
-    eq_rhs = [Fraction(b) for _, b in equations]
-    r = linalg.rank(eq_rows) if eq_rows else 0
+def vertices_from_h(inequalities, dim):
+    """Vertex enumeration of {x : <a,x> <= b} by basis search."""
     found = set()
-    for subset in itertools.combinations(range(len(inequalities)), dim - r):
-        rows = eq_rows + [list(map(Fraction, inequalities[i][0])) for i in subset]
-        rhs = eq_rhs + [Fraction(inequalities[i][1]) for i in subset]
+    for subset in itertools.combinations(range(len(inequalities)), dim):
+        rows = [list(map(Fraction, inequalities[i][0])) for i in subset]
+        rhs = [Fraction(inequalities[i][1]) for i in subset]
         x = linalg.solve_affine(rows, rhs, dim)
         if x is None:
             continue
         if all(linalg.dot(n, x) <= b for n, b in inequalities):
             found.add(x)
     return sorted(found)
-
-
-def slice_body(body, axis, t):
-    """Intersection with {x_axis = t}, embedded in dimension dim - 1."""
-    t = Fraction(t)
-    if not 0 <= axis < body.dim:
-        raise ValidationError("invalid-axis", f"axis {axis} out of range for dimension {body.dim}")
-    lo, hi = body.coordinate_range(axis)
-    if t < lo or t > hi:
-        raise ValidationError("empty-slice", f"slice level {t} outside projection interval [{lo}, {hi}]")
-    if body.dim == 1:
-        raise ValidationError("unsupported-dimension", "cannot slice a one-dimensional body")
-    normal = tuple(int(i == axis) for i in range(body.dim))
-    cut = list(body.equations) + [(normal, t)]
-    points = vertices_from_h(list(body.facets), cut, body.dim)
-    if not points:
-        raise InvariantViolationError("empty-slice-interior", "slice within projection interval produced no points")
-    dropped = [p[:axis] + p[axis + 1 :] for p in points]
-    return convex_hull(dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -534,63 +510,6 @@ def monotone_riemann_gap(samples, a, b, k, integral):
 
 
 # ---------------------------------------------------------------------------
-# Brunn-Minkowski concavity probe
-
-
-def _power_mean_concave(v_mid, v1, v2, m):
-    """Decide v_mid^(1/m) >= (v1^(1/m) + v2^(1/m)) / 2 exactly, m in {1, 2, 3}.
-
-    Radicals are cleared by power comparison: for m = 3 the right-hand
-    sum S = A^(1/3) + B^(1/3) is the unique nonnegative root of
-    s^3 - 3 (AB)^(1/3) s - (A + B), and (AB)^(1/3) is rational here.
-    """
-    if m == 1:
-        return 2 * v_mid >= v1 + v2
-    if m == 2:
-        lhs = 4 * v_mid - v1 - v2
-        return lhs >= 0 and lhs * lhs >= 4 * v1 * v2
-    if m == 3:
-        lhs = 8 * v_mid - v1 - v2
-        if lhs < 0:
-            return False
-        s = lhs / 3
-        q = v1 * v2
-        r = v1 * v1 * v2 + v1 * v2 * v2
-        return s**3 - 3 * q * s - r >= 0
-    raise ValidationError("unsupported-dimension", f"no radical-free comparison for exponent 1/{m}")
-
-
-def brunn_minkowski_probe(body, axis, grid=9):
-    """Check midpoint concavity of t -> vol(slice at t)^(1/(dim-1)) on a grid.
-
-    ``grid`` is either an integer (that many equally spaced levels across
-    the projection interval, endpoints included) or an explicit list of
-    levels. Every pair of grid levels whose midpoint is also on the grid
-    is checked with exact arithmetic.
-    """
-    if not body.is_full_dimensional:
-        raise ValidationError("degenerate-body", "probe requires a full-dimensional body")
-    lo, hi = body.coordinate_range(axis)
-    if isinstance(grid, int):
-        if grid < 3:
-            raise ValidationError("invalid-range", "grid needs at least three levels")
-        levels = [lo + (hi - lo) * Fraction(j, grid - 1) for j in range(grid)]
-    else:
-        levels = sorted(Fraction(t) for t in grid)
-    vols = {t: volume(slice_body(body, axis, t)) for t in levels}
-    position = {t: i for i, t in enumerate(levels)}
-    m = body.dim - 1
-    for i, t1 in enumerate(levels):
-        for t2 in levels[i + 2 :]:
-            mid = (t1 + t2) / 2
-            if mid not in position:
-                continue
-            if not _power_mean_concave(vols[mid], vols[t1], vols[t2], m):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # cones
 
 
@@ -613,7 +532,7 @@ class Cone:
             raise ValidationError("dimension-mismatch", "rays of mixed dimension")
         prim = []
         for r in rays:
-            r = tuple(int(x) for x in r)
+            r = tuple(parse_int(x, "ray coordinate") for x in r)
             if all(x == 0 for x in r):
                 raise ValidationError("invalid-cone", "zero vector is not a ray")
             prim.append(linalg.primitive(r))
@@ -655,12 +574,6 @@ class Cone:
             raise ValidationError("invalid-cone", "dual cone requires a pointed full-dimensional cone")
         return Cone(self._dual_rays)
 
-    def facet_normals(self):
-        """Primitive inner normals of the facets (= rays of the dual)."""
-        if not self._full:
-            raise ValidationError("invalid-cone", "facet normals require a full-dimensional cone")
-        return self._dual_rays
-
     def contains(self, point, strict=False):
         p = _as_point(point)
         if not self._full:
@@ -701,10 +614,6 @@ def _extreme_rays(normals, dim):
     return sorted(found)
 
 
-def dual_cone(cone):
-    return cone.dual()
-
-
 # ---------------------------------------------------------------------------
 # polyhedra with recession rays
 
@@ -725,7 +634,7 @@ class Polyhedron:
             raise ValidationError("empty-input", "a polyhedron needs at least one point")
         self.dim = len(pts[0])
         self.points = tuple(pts)
-        self.rays = tuple(sorted(set(linalg.primitive(tuple(int(x) for x in r)) for r in rays)))
+        self.rays = tuple(sorted(set(linalg.primitive(tuple(parse_int(x, "ray coordinate") for x in r)) for r in rays)))
         self._facets = None
 
     @property

@@ -58,16 +58,7 @@ def _newton_facets_2d(ideal):
     Ideals without a pure power on some axis have an axis-parallel facet
     there in addition to the hull segments.
     """
-    hull = []
-    for p in sorted(ideal.gens):
-        while len(hull) >= 2:
-            ax, ay = hull[-2]
-            bx, by = hull[-1]
-            if (bx - ax) * (p[1] - by) - (by - ay) * (p[0] - bx) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
+    hull = ideal.lower_hull()
     facets = []
     if hull[0][0] > 0:
         facets.append(((1, 0), hull[0][0]))
@@ -433,6 +424,22 @@ def _staircase_key(ideal):
     return ideal.staircase().points
 
 
+def _argmin(ideals, value):
+    """(least value, its ideal, number of ideals seen), or None when
+    ``ideals`` is empty. Ties go to the lexicographically least
+    staircase, so the argmin does not depend on enumeration order."""
+    best = None
+    count = 0
+    for ideal in ideals:
+        count += 1
+        v = value(ideal)
+        if best is None or v < best[0]:
+            best = (v, ideal)
+        elif v == best[0] and _staircase_key(ideal) < _staircase_key(best[1]):
+            best = (v, ideal)
+    return None if best is None else (best[0], best[1], count)
+
+
 def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=DEFAULT_WEIGHT_RATIOS):
     """The normalized colength at level k: n! times the least
     lct^n * colength over ideals between the k-th power of the maximal
@@ -460,36 +467,35 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=D
             c=format_rational(c), k=k,
         )
     factor = math.factorial(n)
-    best = None
+
+    def value(ideal):
+        return factor * lct(model, ideal).value ** n * ideal.colength()
+
     if mode == "exact":
-        for ideal in monomials.enumerate_staircases(n, k, min_colength=max(1, min_colength), budgets=budgets):
-            value = factor * lct(model, ideal).value ** n * ideal.colength()
-            if best is None or value < best[0]:
-                best = (value, ideal)
-            elif value == best[0] and _staircase_key(ideal) < _staircase_key(best[1]):
-                best = (value, ideal)
+        ideals = monomials.enumerate_staircases(n, k, min_colength=max(1, min_colength), budgets=budgets)
     elif mode == "upper":
-        seen = set()
-        for weights in _weight_grid(n, weight_ratios):
-            ideal = monomials.valuation_ideal(weights, k)
-            if ideal in seen:
-                continue
-            seen.add(ideal)
-            if ideal.colength() < min_colength:
-                continue
-            value = factor * lct(model, ideal).value ** n * ideal.colength()
-            if best is None or value < best[0]:
-                best = (value, ideal)
-            elif value == best[0] and _staircase_key(ideal) < _staircase_key(best[1]):
-                best = (value, ideal)
-        if best is None:
-            raise ValidationError(
-                "infeasible-c",
-                "no valuation ideal on the weight grid meets the colength constraint",
-            )
+        ideals = _valuation_ideals(n, k, min_colength, weight_ratios)
     else:
         raise ValidationError("invalid-mode", f"unknown mode {mode!r}")
+    best = _argmin(ideals, value)
+    if best is None:
+        raise ValidationError(
+            "infeasible-c",
+            "no valuation ideal on the weight grid meets the colength constraint",
+        )
     return best[0], best[1]
+
+
+def _valuation_ideals(n, k, min_colength, ratios):
+    """Distinct valuation ideals of the weight grid with colength >= min_colength."""
+    seen = set()
+    for weights in _weight_grid(n, ratios):
+        ideal = monomials.valuation_ideal(weights, k)
+        if ideal in seen:
+            continue
+        seen.add(ideal)
+        if ideal.colength() >= min_colength:
+            yield ideal
 
 
 def _weight_grid(n, ratios):
@@ -620,26 +626,22 @@ def lech_gap_probe(n, k, delta, epsilon, budgets=None):
         raise ValidationError("invalid-range", "delta and epsilon must lie in (0, 1)")
     j = math.ceil(delta * k)
     factor = math.factorial(n)
-    best = None
-    count = 0
-    for ideal in monomials.enumerate_staircases(n, k, contain_power=j, budgets=budgets):
-        count += 1
-        ratio = Fraction(factor * ideal.colength()) / ideal.multiplicity()
-        if best is None or ratio < best[0]:
-            best = (ratio, ideal)
-        elif ratio == best[0] and _staircase_key(ideal) < _staircase_key(best[1]):
-            best = (ratio, ideal)
+    best = _argmin(
+        monomials.enumerate_staircases(n, k, contain_power=j, budgets=budgets),
+        lambda ideal: Fraction(factor * ideal.colength()) / ideal.multiplicity(),
+    )
     if best is None:
         raise ValidationError("invalid-range", f"no ideals between m^{k} and m^{j}")
-    if best[0] < 1:
+    ratio, witness, count = best
+    if ratio < 1:
         raise InvariantViolationError(
             "lech-violated",
-            f"colength-multiplicity ratio {best[0]} below one on a regular point",
-            witness=[list(g) for g in best[1].gens],
+            f"colength-multiplicity ratio {ratio} below one on a regular point",
+            witness=[list(g) for g in witness.gens],
         )
     return LechGapReport(
         n=n, k=k, delta=delta, epsilon=epsilon,
-        min_ratio=best[0], witness=best[1], ideals_scanned=count,
+        min_ratio=ratio, witness=witness, ideals_scanned=count,
     )
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import geometry, linalg
 from .errors import ValidationError
-from .rationals import parse_rational
+from .rationals import parse_int, parse_rational
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,10 @@ def load_model(data):
     except (KeyError, TypeError) as exc:
         raise ValidationError("invalid-model-json", "model document needs a 'type' field") from exc
     if kind == "monomial_pair":
-        return MonomialPair(n=int(data["n"]), coeffs=tuple(data["coeffs"]))
+        return MonomialPair(n=parse_int(data["n"], "n"), coeffs=tuple(data["coeffs"]))
     if kind == "toric":
         return ToricSingularity(geometry.Cone(data["rays"]))
     if kind == "fano_cone":
         body = geometry.convex_hull(data["polytope"])
-        return FanoConeInput(polytope=body, r=int(data.get("r", 1)))
+        return FanoConeInput(polytope=body, r=parse_int(data.get("r", 1), "r"))
     raise ValidationError("invalid-model-json", f"unknown model type {kind!r}")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import geometry, linalg
 from .errors import BudgetExceededError, ValidationError
-from .rationals import parse_rational
+from .rationals import parse_int, parse_rational
 
 # exhaustive enumeration is exact or refuses to run; these are the
 # default staircase budgets per ambient dimension
@@ -71,12 +71,12 @@ class MonomialIdeal:
     __slots__ = ("n", "gens", "_colength")
 
     def __init__(self, n, gens):
-        n = int(n)
+        n = parse_int(n, "dimension")
         if n < 1:
             raise ValidationError("invalid-dimension", "ambient dimension must be positive")
         cleaned = []
         for g in gens:
-            g = tuple(int(x) for x in g)
+            g = tuple(parse_int(x, "exponent") for x in g)
             if len(g) != n:
                 raise ValidationError("dimension-mismatch", f"generator {g} has wrong length")
             if any(x < 0 for x in g):
@@ -193,6 +193,22 @@ class MonomialIdeal:
         rays = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
         return geometry.Polyhedron(self.gens, rays)
 
+    def lower_hull(self):
+        """Vertices of the compact edges of the Newton polygon (n = 2),
+        by increasing first exponent: the monotone-chain lower hull of
+        the generators, with collinear points dropped."""
+        hull = []
+        for p in sorted(self.gens):
+            while len(hull) >= 2:
+                ax, ay = hull[-2]
+                bx, by = hull[-1]
+                if (bx - ax) * (p[1] - by) - (by - ay) * (p[0] - bx) <= 0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(p)
+        return hull
+
     def multiplicity(self):
         """Hilbert-Samuel multiplicity, as n! times the covolume of the
         Newton polyhedron complement. An exact integer for m-primary
@@ -206,16 +222,7 @@ class MonomialIdeal:
         return self._multiplicity_generic()
 
     def _multiplicity2(self):
-        hull = []
-        for p in sorted(self.gens):
-            while len(hull) >= 2:
-                ax, ay = hull[-2]
-                bx, by = hull[-1]
-                if (bx - ax) * (p[1] - by) - (by - ay) * (p[0] - bx) <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
+        hull = self.lower_hull()
         return sum(
             (hull[i + 1][0] - hull[i][0]) * (hull[i][1] + hull[i + 1][1])
             for i in range(len(hull) - 1)
@@ -227,7 +234,7 @@ class MonomialIdeal:
         ineqs = [(tuple(-x for x in normal), Fraction(-c)) for normal, c in self.newton_polyhedron().facets]
         for axis in range(self.n):
             ineqs.append((tuple(int(i == axis) for i in range(self.n)), Fraction(degs[axis])))
-        corners = geometry.vertices_from_h(ineqs, [], self.n)
+        corners = geometry.vertices_from_h(ineqs, self.n)
         inner = geometry.convex_hull(corners)
         return math.factorial(self.n) * (box_volume - inner.volume())
 

@@ -6,7 +6,6 @@ standard library. They serialize as "p/q", or "p" when the denominator
 is one.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -26,6 +25,25 @@ def parse_rational(value):
     raise ValidationError("invalid-rational", f"cannot parse rational from {type(value).__name__}")
 
 
+def parse_int(value, what):
+    """Parse an int, an integral Fraction or an integral "p/q" string.
+
+    Booleans, floats and non-integral values are rejected rather than
+    truncated.
+    """
+    if type(value) is int:  # excludes bool
+        return value
+    if isinstance(value, (Fraction, str)):
+        try:
+            x = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            if x.denominator == 1:
+                return x.numerator
+    raise ValidationError("invalid-integer", f"{what} must be an integer, got {value!r}")
+
+
 def format_rational(x):
     """Format a Fraction as "p/q", or "p" when integral."""
     x = Fraction(x)
@@ -33,10 +51,3 @@ def format_rational(x):
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
-
-def fraction_floor(x):
-    return math.floor(x)
-
-
-def fraction_ceil(x):
-    return math.ceil(x)

@@ -26,9 +26,9 @@ BUDGETS_S = {
 
 @pytest.mark.parametrize("name,func", acceptance.CRITERIA, ids=[n for n, _ in acceptance.CRITERIA])
 def test_criterion(name, func):
-    start = time.time()
+    start = time.perf_counter()
     passed, measured, tolerance, detail = func(fast=False)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] {name}: measured={measured} tolerance={tolerance} ({elapsed:.1f}s) {detail}")
     assert passed, f"{name}: {measured} (tolerance {tolerance})"

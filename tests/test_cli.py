@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -10,8 +11,9 @@ from hatvol.cli import main
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name in ("HATVOL_TOL", "HATVOL_THREADS", "HATVOL_GRID_DEPTH"):
-        monkeypatch.delenv(name, raising=False)
+    for name in list(os.environ):
+        if name.startswith("HATVOL_"):
+            monkeypatch.delenv(name)
     return tmp_path
 
 
@@ -135,9 +137,33 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(err)["error"] == "infeasible-c"
 
-    def test_bad_threads(self, capsys, an2):
-        code, _, err = run(capsys, "hvol", "--model", an2, "--threads", "0")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("colength", {"n": 2, "gens": [[2.9, 0], [0, 3.7]]}),
+            ("mult", {"n": 2, "gens": [[2, 0], [0, True]]}),
+            ("colength", {"n": 2, "gens": [[2, 0], [0, "7/2"]]}),
+            ("colength", {"n": 2.0, "gens": [[2, 0], [0, 3]]}),
+            ("colength", {"n": 2, "gens": [[3, 0], [0, "q"]]}),
+            ("hvol", {"type": "toric", "rays": [[1.9, 0], [0, 1]]}),
+            ("hvol", {"type": "monomial_pair", "n": 2.7, "coeffs": ["0", "0"]}),
+            ("hvol", {"type": "monomial_pair", "n": "abc", "coeffs": ["0", "0"]}),
+            ("hvol", {"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3]], "r": 1.5}),
+        ],
+    )
+    def test_non_integer_rejected(self, capsys, workdir, command, doc):
+        path = write(workdir / "input.json", doc)
+        flag = "--ideal" if command in ("colength", "mult") else "--model"
+        code, out, err = run(capsys, command, flag, path)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-integer"
+
+    @pytest.mark.parametrize("k_range", ["2:x", "2:10:0"])
+    def test_bad_k_range(self, capsys, workdir, k_range):
+        body = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
+        code, out, err = run(capsys, "lattice", "--body", body, "--k-range", k_range)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-range"
 
     def test_csv_unsupported(self, capsys, an2):
         code, _, err = run(capsys, "hvol", "--model", an2, "--format", "csv")
@@ -165,13 +191,6 @@ class TestDeterminism:
         _, out, _ = run(capsys, "hvol", "--model", an2)
         report = json.loads(out)
         assert json.loads(json.dumps(report)) == report
-
-    def test_thread_setting_does_not_change_results(self, capsys, an2):
-        payloads = set()
-        for threads in ("1", "4"):
-            _, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4", "--threads", threads)
-            payloads.add(json.dumps(json.loads(out)["result"], sort_keys=True))
-        assert len(payloads) == 1
 
 
 class TestConfigPrecedence:

@@ -145,30 +145,6 @@ class TestVolume:
                 assert image.volume() == body.volume()
 
 
-class TestSlice:
-    def test_square_slice(self):
-        section = unit_square().slice(1, F(1, 2))
-        assert section.vertices == ((F(0),), (F(1),))
-
-    def test_simplex_slice(self):
-        section = simplex(2).slice(1, F(1, 2))
-        assert section.vertices == ((F(0),), (F(1, 2),))
-
-    def test_simplex_3d_slice_area(self):
-        section = simplex(3).slice(2, F(1, 3))
-        assert section.volume() == F(2, 9)
-
-    def test_outside_interval(self):
-        with pytest.raises(ValidationError) as info:
-            unit_square().slice(1, 2)
-        assert info.value.code == "empty-slice"
-
-    def test_endpoint_slice_degenerate(self):
-        section = simplex(2).slice(1, 1)
-        assert section.vertices == ((F(0),),)
-        assert section.volume() == 0
-
-
 class TestLatticePoints:
     @pytest.mark.parametrize("k", [1, 2, 7, 10])
     def test_square(self, k):
@@ -253,30 +229,6 @@ class TestRiemannGap:
         with pytest.raises(ValidationError) as info:
             G.monotone_riemann_gap({F(0): F(0)}, 0, 1, 2, F(1, 2))
         assert info.value.code == "missing-sample"
-
-
-class TestBrunnMinkowski:
-    def test_cube_sections_concave(self):
-        cube = G.convex_hull(list(itertools.product((0, 1), repeat=3)))
-        assert G.brunn_minkowski_probe(cube, 2)
-
-    def test_simplex_sections_concave(self):
-        assert G.brunn_minkowski_probe(simplex(3), 2)
-
-    def test_dim_four_sections(self):
-        # exercises the cube-root comparison (sections are 3-dimensional)
-        box = G.convex_hull(list(itertools.product((0, 1), repeat=4)))
-        assert G.brunn_minkowski_probe(box, 0, grid=5)
-        assert G.brunn_minkowski_probe(simplex(4), 3, grid=5)
-
-    def test_square_pyramid(self):
-        pyramid = G.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 2), 1)])
-        assert G.brunn_minkowski_probe(pyramid, 2)
-
-    def test_degenerate_rejected(self):
-        segment = G.convex_hull([(0, 0), (1, 1)])
-        with pytest.raises(ValidationError):
-            G.brunn_minkowski_probe(segment, 0)
 
 
 class TestPolyhedron:

@@ -218,6 +218,16 @@ class TestNormalizedColength:
             I.normalized_colength(AN2, F(9, 10), 4)
         assert info.value.code == "infeasible-c"
 
+    def test_argmin_tie_goes_to_least_staircase(self):
+        # staircases ((0,0),(0,1),(0,2),...) < ((0,0),(0,1),(1,0),...)
+        tall = M.MonomialIdeal(2, [(2, 0), (0, 3)])
+        wide = M.MonomialIdeal(2, [(3, 0), (0, 2)])
+        assert tall.staircase().points < wide.staircase().points
+        for order in ([tall, wide], [wide, tall]):
+            assert I._argmin(order, lambda ideal: F(6)) == (F(6), tall, 2)
+        assert I._argmin([tall, wide], lambda ideal: ideal.pure_degrees()[1]) == (2, wide, 2)
+        assert I._argmin([], lambda ideal: 0) is None
+
     def test_default_constant(self):
         assert I.default_scan_constant(2) == F(1, 8)
         assert I.default_scan_constant(3) == F(1, 24)
