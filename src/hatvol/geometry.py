@@ -1,8 +1,11 @@
 """Exact rational polyhedral geometry in ambient dimension up to four.
 
-Convex bodies are stored by their vertices; the facet system is derived
-on demand by enumerating supporting hyperplanes over all small vertex
-subsets, which is entirely adequate at desk scale. Every computation
+Convex bodies are stored by their vertices. Every facet system (of a
+hull, of a polyhedron with recession rays, of a cone) comes from one
+kernel, `_extreme_rays`, which enumerates the extreme rays of a dual
+cone over all small generator subsets; for hulls and polyhedra the
+cone is the homogenization one dimension higher. That is entirely
+adequate at desk scale. Every computation
 here (hulls, duals, volumes, lattice counts, the counting and
 Riemann-sum probes) runs over `fractions.Fraction`; no floating point
 enters this module.
@@ -126,7 +129,8 @@ class ConvexBody:
 def convex_hull(points):
     """Convex hull of exact rational points as a :class:`ConvexBody`.
 
-    The vertex set is minimal. Lower-dimensional inputs are supported:
+    The vertex set is minimal. The facets of a full-dimensional hull come
+    from :func:`_hull_facets`. Lower-dimensional inputs are supported:
     the body is flagged not full-dimensional, and its facet system is
     expressed inside the affine hull together with explicit equations.
     """
@@ -146,7 +150,7 @@ def convex_hull(points):
     affine_dim = linalg.rank(diffs) if diffs else 0
 
     if affine_dim == dim:
-        facets = _supporting_facets(pts, dim)
+        facets = _hull_facets(pts)
         vertices = _extract_vertices(pts, facets, dim)
         return ConvexBody(dim, tuple(sorted(vertices)), tuple(facets), (), dim)
 
@@ -237,34 +241,22 @@ def _pull_back_facets(sub_facets, base, basis, dim):
     return sorted(facets)
 
 
-def _supporting_facets(pts, dim):
-    """All supporting hyperplanes spanned by dim points of a full-dim set."""
-    facets = set()
-    for subset in itertools.combinations(range(len(pts)), dim):
-        diffs = [
-            tuple(pts[i][c] - pts[subset[0]][c] for c in range(dim))
-            for i in subset[1:]
-        ]
-        kernel = linalg.nullspace(diffs, dim)
-        if len(kernel) != 1:
-            continue
-        normal = linalg.primitive(linalg.clear_denominators(kernel[0]))
-        rhs = linalg.dot(normal, pts[subset[0]])
-        below = above = False
-        for p in pts:
-            value = linalg.dot(normal, p)
-            if value < rhs:
-                below = True
-            elif value > rhs:
-                above = True
-            if below and above:
-                break
-        if below and above:
-            continue
-        if above:
-            normal = tuple(-x for x in normal)
-            rhs = -rhs
-        facets.add((normal, rhs))
+def _hull_facets(points, rays=()):
+    """Facets <a, x> <= b of conv(points) + cone(rays), which must be
+    full-dimensional, sorted, with primitive integer normals a.
+
+    A point p homogenizes to (p, 1) and a ray r to (r, 0); each extreme
+    ray (w, w0) of the dual of their cone gives <-w, x> <= w0.
+    """
+    gens = [linalg.clear_denominators(tuple(p) + (Fraction(1),)) for p in points]
+    gens += [tuple(r) + (0,) for r in rays]
+    facets = []
+    for w in _extreme_rays(gens, len(gens[0])):
+        g = 0
+        for x in w[:-1]:
+            g = math.gcd(g, x)
+        if g:  # g == 0 is the trivial inequality 0 <= 1
+            facets.append((tuple(-x // g for x in w[:-1]), Fraction(w[-1], g)))
     return sorted(facets)
 
 
@@ -303,7 +295,7 @@ def _triangulate_indices(points, d):
     diffs = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]]
     basis = _independent_subset(diffs, d)
     coords = _affine_coordinates(points, base, basis)
-    facets = _supporting_facets(sorted(set(coords)), d)
+    facets = _hull_facets(set(coords))
     vertex_idx = [
         i
         for i in range(len(points))
@@ -341,24 +333,6 @@ def volume(body):
         mat = [[p[i] - simplex[0][i] for i in range(body.dim)] for p in simplex[1:]]
         total += abs(linalg.det(mat))
     return total / math.factorial(body.dim)
-
-
-# ---------------------------------------------------------------------------
-# vertex enumeration
-
-
-def vertices_from_h(inequalities, dim):
-    """Vertex enumeration of {x : <a,x> <= b} by basis search."""
-    found = set()
-    for subset in itertools.combinations(range(len(inequalities)), dim):
-        rows = [list(map(Fraction, inequalities[i][0])) for i in subset]
-        rhs = [Fraction(inequalities[i][1]) for i in subset]
-        x = linalg.solve_affine(rows, rhs, dim)
-        if x is None:
-            continue
-        if all(linalg.dot(n, x) <= b for n, b in inequalities):
-            found.add(x)
-    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +595,9 @@ def _extreme_rays(normals, dim):
 class Polyhedron:
     """An unbounded polyhedron given by generating points plus recession rays.
 
-    The facet system is derived once by passing to the homogenization
-    cone in one dimension higher and dualizing; the V-form and the
-    derived H-form therefore describe the same set exactly.
+    The facet system is derived once by :func:`_hull_facets`, which passes
+    to the homogenization cone in one dimension higher and dualizes; the
+    V-form and the derived H-form therefore describe the same set exactly.
     """
 
     __slots__ = ("dim", "points", "rays", "_facets")
@@ -639,35 +613,15 @@ class Polyhedron:
 
     @property
     def facets(self):
-        """Irredundant inequalities <a, x> >= c with primitive integer a."""
+        """Irredundant inequalities <a, x> >= c with primitive integer a, sorted."""
         if self._facets is None:
-            gens = []
-            for p in self.points:
-                scaled = linalg.clear_denominators(tuple(p) + (Fraction(1),))
-                gens.append(scaled)
-            for r in self.rays:
-                gens.append(tuple(r) + (0,))
-            rays = _extreme_rays(gens, self.dim + 1)
-            facets = []
-            for w in rays:
-                if all(x == 0 for x in w[:-1]):
-                    continue  # the trivial inequality 1 >= 0
-                facets.append((w[:-1], Fraction(-w[-1])))
-            self._facets = tuple(sorted(facets))
+            facets = _hull_facets(self.points, self.rays)
+            self._facets = tuple(sorted((tuple(-x for x in a), -b) for a, b in facets))
         return self._facets
 
     def contains(self, point):
         p = _as_point(point)
         return all(linalg.dot(n, p) >= c for n, c in self.facets)
-
-    def vertices(self):
-        """Generating points that are genuine vertices of the polyhedron."""
-        out = []
-        for p in self.points:
-            active = [n for n, c in self.facets if linalg.dot(n, p) == c]
-            if active and linalg.rank(active) == self.dim:
-                out.append(p)
-        return tuple(sorted(out))
 
     def __repr__(self):
         return f"Polyhedron(dim={self.dim}, points={len(self.points)}, rays={len(self.rays)})"

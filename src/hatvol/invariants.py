@@ -52,32 +52,10 @@ class LctResult:
         }
 
 
-def _newton_facets_2d(ideal):
-    """Non-coordinate facets of the Newton polygon via the lower hull.
-
-    Ideals without a pure power on some axis have an axis-parallel facet
-    there in addition to the hull segments.
-    """
-    hull = ideal.lower_hull()
-    facets = []
-    if hull[0][0] > 0:
-        facets.append(((1, 0), hull[0][0]))
-    if hull[-1][1] > 0:
-        facets.append(((0, 1), hull[-1][1]))
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        normal = (y0 - y1, x1 - x0)
-        facets.append((normal, normal[0] * x0 + normal[1] * y0))
-    return facets
-
-
 def howald_membership_value(ideal):
     """Largest t with the all-ones vector in t times the Newton polyhedron."""
-    if ideal.n == 2:
-        facets = _newton_facets_2d(ideal)
-    else:
-        facets = [(n, c) for n, c in ideal.newton_polyhedron().facets if c > 0]
     ones = tuple(1 for _ in range(ideal.n))
-    return min(Fraction(linalg.dot(n, ones)) / c for n, c in facets)
+    return min(Fraction(linalg.dot(n, ones)) / c for n, c in ideal.newton_facets())
 
 
 def lct(model, ideal):

@@ -255,11 +255,18 @@ def load_model(data):
         kind = data["type"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("invalid-model-json", "model document needs a 'type' field") from exc
+    fields = {"monomial_pair": "coeffs", "toric": "rays", "fano_cone": "polytope"}
+    field = fields.get(kind) if isinstance(kind, str) else None
+    if field is None:
+        raise ValidationError("invalid-model-json", f"unknown model type {kind!r}")
+    value = data.get(field)
+    rows = kind != "monomial_pair"
+    if not isinstance(value, list) or (rows and not all(isinstance(v, list) for v in value)):
+        shape = "a list of lists" if rows else "a list"
+        raise ValidationError("invalid-model-json", f"{kind} model needs {shape} {field!r}")
     if kind == "monomial_pair":
-        return MonomialPair(n=parse_int(data["n"], "n"), coeffs=tuple(data["coeffs"]))
+        return MonomialPair(n=parse_int(data.get("n"), "n"), coeffs=tuple(value))
     if kind == "toric":
-        return ToricSingularity(geometry.Cone(data["rays"]))
-    if kind == "fano_cone":
-        body = geometry.convex_hull(data["polytope"])
-        return FanoConeInput(polytope=body, r=parse_int(data.get("r", 1), "r"))
-    raise ValidationError("invalid-model-json", f"unknown model type {kind!r}")
+        return ToricSingularity(geometry.Cone(value))
+    vertices = [[parse_int(x, "polytope coordinate") for x in v] for v in value]
+    return FanoConeInput(polytope=geometry.convex_hull(vertices), r=parse_int(data.get("r", 1), "r"))

@@ -209,34 +209,45 @@ class MonomialIdeal:
             hull.append(p)
         return hull
 
+    def newton_facets(self):
+        """The facets <normal, u> >= c of the Newton polyhedron with c > 0,
+        as (normal, c) with primitive normal: every facet but the
+        coordinate ones. For an m-primary ideal they are all compact.
+
+        For n = 2 they are read off the lower hull, plus an axis-parallel
+        facet on each axis that lacks a pure power; otherwise they are
+        filtered from :meth:`newton_polyhedron`.
+        """
+        if self.n != 2:
+            return [(normal, c) for normal, c in self.newton_polyhedron().facets if c > 0]
+        hull = self.lower_hull()
+        facets = []
+        if hull[0][0] > 0:
+            facets.append(((1, 0), hull[0][0]))
+        if hull[-1][1] > 0:
+            facets.append(((0, 1), hull[-1][1]))
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+            g = math.gcd(y0 - y1, x1 - x0)
+            normal = ((y0 - y1) // g, (x1 - x0) // g)
+            facets.append((normal, normal[0] * x0 + normal[1] * y0))
+        return facets
+
     def multiplicity(self):
-        """Hilbert-Samuel multiplicity, as n! times the covolume of the
-        Newton polyhedron complement. An exact integer for m-primary
-        monomial ideals; cross-checkable against the colength-of-powers
-        limit n!. l(R/a^m)/m^n.
+        """Hilbert-Samuel multiplicity e(a): n! times the covolume of the
+        Newton polyhedron in the orthant. That region is the union of the
+        cones from the origin over the compact Newton facets, so e(a) sums
+        |det| over a triangulation of each facet by the generators on it.
+        An exact integer for m-primary monomial ideals; cross-checkable
+        against the colength-of-powers limit n! l(R/a^m)/m^n.
         """
         if not self.is_primary:
             raise ValidationError("infinite-covolume", "multiplicity is finite only for m-primary ideals")
-        if self.n == 2:
-            return Fraction(self._multiplicity2())
-        return self._multiplicity_generic()
-
-    def _multiplicity2(self):
-        hull = self.lower_hull()
-        return sum(
-            (hull[i + 1][0] - hull[i][0]) * (hull[i][1] + hull[i + 1][1])
-            for i in range(len(hull) - 1)
-        )
-
-    def _multiplicity_generic(self):
-        degs = self.pure_degrees()
-        box_volume = Fraction(math.prod(degs))
-        ineqs = [(tuple(-x for x in normal), Fraction(-c)) for normal, c in self.newton_polyhedron().facets]
-        for axis in range(self.n):
-            ineqs.append((tuple(int(i == axis) for i in range(self.n)), Fraction(degs[axis])))
-        corners = geometry.vertices_from_h(ineqs, self.n)
-        inner = geometry.convex_hull(corners)
-        return math.factorial(self.n) * (box_volume - inner.volume())
+        total = Fraction(0)
+        for normal, c in self.newton_facets():
+            face = [g for g in self.gens if linalg.dot(normal, g) == c]
+            for simplex in geometry._triangulate_indices(face, self.n - 1):
+                total += abs(linalg.det([face[i] for i in simplex]))
+        return total
 
     def integral_closure(self):
         """Ideal of all lattice points of the Newton polyhedron.

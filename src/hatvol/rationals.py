@@ -12,10 +12,11 @@ from .errors import ValidationError
 
 
 def parse_rational(value):
-    """Parse an int, Fraction or "p/q" string into a Fraction."""
+    """Parse an int, Fraction or "p/q" string into a Fraction; booleans
+    are rejected."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # excludes bool
         return Fraction(value)
     if isinstance(value, str):
         try:

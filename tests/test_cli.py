@@ -158,6 +158,26 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-integer"
 
+    @pytest.mark.parametrize(
+        "doc,error",
+        [
+            ({"type": "monomial_pair", "n": 2}, "invalid-model-json"),
+            ({"type": "monomial_pair", "n": 2, "coeffs": "00"}, "invalid-model-json"),
+            ({"type": "toric"}, "invalid-model-json"),
+            ({"type": "toric", "rays": [1, 2]}, "invalid-model-json"),
+            ({"type": "fano_cone", "r": 1}, "invalid-model-json"),
+            ({"type": "fano_cone", "polytope": {"0": [0, 0]}}, "invalid-model-json"),
+            ({"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3.0]]}, "invalid-integer"),
+            ({"type": "fano_cone", "polytope": [[0, 0], [3, 0], [True, 3]]}, "invalid-integer"),
+            ({"type": "monomial_pair", "n": 2, "coeffs": [False, "0"]}, "invalid-rational"),
+        ],
+    )
+    def test_malformed_model_rejected(self, capsys, workdir, doc, error):
+        path = write(workdir / "model.json", doc)
+        code, out, err = run(capsys, "hvol", "--model", path)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error
+
     @pytest.mark.parametrize("k_range", ["2:x", "2:10:0"])
     def test_bad_k_range(self, capsys, workdir, k_range):
         body = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
@@ -191,6 +211,68 @@ class TestDeterminism:
         _, out, _ = run(capsys, "hvol", "--model", an2)
         report = json.loads(out)
         assert json.loads(json.dumps(report)) == report
+
+
+PINNED_INPUTS = {
+    "space.json": {"type": "monomial_pair", "n": 3, "coeffs": ["0", "0", "0"]},
+    "a.json": {"n": 3, "gens": [[4, 0, 0], [0, 4, 0], [0, 0, 4], [2, 1, 0], [0, 2, 1], [1, 0, 2]]},
+    "b.json": {"n": 3, "gens": [[2, 0, 0], [0, 3, 0], [0, 0, 5], [1, 1, 0], [0, 1, 2]]},
+    "c.json": {"n": 3, "gens": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1], [2, 0, 1]]},
+    "p2.json": {"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3]], "r": 1},
+    "p112.json": {"type": "fano_cone", "polytope": [[-1, -1], [-1, 1], [3, -1]], "r": 1},
+    "tri.json": {"vertices": [["0", "0"], ["3/2", "0"], ["0", "2"]]},
+}
+
+# literal `result` payloads; a refactor that changes one must say why
+PINNED_RESULTS = [
+    ("mult --ideal a.json", '{"exact": true, "value": "33"}'),
+    ("mult --ideal b.json", '{"exact": true, "value": "20"}'),
+    ("mult --ideal c.json", '{"exact": true, "value": "27"}'),
+    (
+        "lct --model space.json --ideal a.json",
+        '{"active_constraints": [[2, 1, 0], [1, 0, 2], [0, 2, 1]], '
+        '"minimizing_weight": ["1/3", "1/3", "1/3"], "value": "1"}',
+    ),
+    (
+        "lct --model space.json --ideal b.json",
+        '{"active_constraints": [[2, 0, 0], [1, 1, 0], [0, 1, 2]], '
+        '"minimizing_weight": ["1/2", "1/2", "1/4"], "value": "5/4"}',
+    ),
+    (
+        "lct --model space.json --ideal c.json",
+        '{"active_constraints": [[3, 0, 0], [2, 0, 1], [1, 1, 1], [0, 3, 0], [0, 0, 3]], '
+        '"minimizing_weight": ["1/3", "1/3", "1/3"], "value": "1"}',
+    ),
+    (
+        "cone --model p2.json",
+        '{"degree_bound": "9", "m_covector": ["1", "1", "1"], "rays": [[-1, -1, 3], [0, 1, 0], [1, 0, 0]]}',
+    ),
+    (
+        "qbound --model p2.json --q 3",
+        '{"asserted": true, "holds": true, "limit": "27", "n": 3, "oracle": true, "q": 3, "value": "27"}',
+    ),
+    (
+        "hvol --model p112.json",
+        '{"certificate": "zero exact gradient at rational interior weights of height <= 64", '
+        '"exact": true, "method": "numeric_slice", "minimizer": ["0", "-1/3", "1"], '
+        '"tolerance": 1e-09, "value": "27/4"}',
+    ),
+    (
+        "lattice --body tri.json --k-range 1:6",
+        '{"epsilon": "1/20", "k0": null, "rows": [{"error": "5/2", "k": 1}, {"error": "5/4", "k": 2}, '
+        '{"error": "13/18", "k": 3}, {"error": "9/16", "k": 4}, {"error": "21/50", "k": 5}, '
+        '{"error": "13/36", "k": 6}], "volume": "3/2"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_RESULTS, ids=[argv for argv, _ in PINNED_RESULTS])
+def test_pinned_result(capsys, workdir, argv, expected):
+    for name, doc in PINNED_INPUTS.items():
+        write(workdir / name, doc)
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert json.dumps(result_of(out), sort_keys=True) == expected
 
 
 class TestConfigPrecedence:

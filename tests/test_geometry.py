@@ -35,6 +35,10 @@ class TestConvexHull:
         assert len(cube.vertices) == 8
         assert len(cube.facets) == 6
 
+    def test_rational_hull_keeps_primitive_normals(self):
+        body = G.convex_hull([(0,), (F(1, 2),)])
+        assert body.facets == (((-1,), F(0)), ((1,), F(1, 2)))
+
     def test_empty_input(self):
         with pytest.raises(ValidationError) as info:
             G.convex_hull([])
@@ -237,10 +241,6 @@ class TestPolyhedron:
         assert ((3, 2), F(6)) in poly.facets
         assert poly.contains((1, 2))
         assert not poly.contains((1, 1))
-
-    def test_vertices_filtered(self):
-        poly = G.Polyhedron([(2, 0), (0, 3), (5, 5)], [(1, 0), (0, 1)])
-        assert poly.vertices() == ((F(0), F(3)), (F(2), F(0)))
 
     def test_h_and_v_forms_agree(self):
         rng = random.Random(23)

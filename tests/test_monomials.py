@@ -92,15 +92,31 @@ class TestMultiplicity:
     def test_middle_generator_matters(self):
         assert M.MonomialIdeal(2, [(5, 0), (1, 1), (0, 5)]).multiplicity() == 10
 
-    def test_fast_path_agrees_with_generic(self):
-        rng = random.Random(9)
-        for _ in range(15):
-            px, py = rng.randint(2, 5), rng.randint(2, 5)
-            gens = [(px, 0), (0, py)]
-            for _ in range(rng.randint(0, 2)):
-                gens.append((rng.randint(1, px - 1), rng.randint(1, py - 1)))
-            ideal = M.MonomialIdeal(2, gens)
-            assert ideal.multiplicity() == ideal._multiplicity_generic()
+    @pytest.mark.parametrize(
+        "gens,e",
+        [
+            ([(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1), (1, 1, 1, 0)], 12),
+            # the facet x + y + z = 3 is a quadrilateral: two simplices
+            ([(3, 0, 0), (0, 3, 0), (0, 0, 4), (1, 0, 2), (0, 1, 2)], 28),
+            ([(5,)], 5),
+        ],
+    )
+    def test_values(self, gens, e):
+        assert M.MonomialIdeal(len(gens[0]), gens).multiplicity() == e
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_power_and_closure_identities(self, n):
+        # e(a^2) = 2^n e(a), and integral closure keeps e
+        rng = random.Random(9 + n)
+        for _ in range(8):
+            degs = [rng.randint(2, 4) for _ in range(n)]
+            gens = [tuple(d * int(i == j) for j in range(n)) for i, d in enumerate(degs)]
+            for _ in range(rng.randint(0, 3)):
+                gens.append(tuple(rng.randint(0, d - 1) for d in degs))
+            ideal = M.MonomialIdeal(n, [g for g in gens if any(g)])
+            e = ideal.multiplicity()
+            assert ideal.power(2).multiplicity() == 2**n * e
+            assert ideal.integral_closure().multiplicity() == e
 
     @pytest.mark.parametrize("n,m_exp", [(2, 40), (3, 20)])
     def test_limit_oracle(self, n, m_exp):
