@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -28,7 +29,6 @@ from .rationals import format_rational, parse_rational
 @dataclass
 class Settings:
     tol: float = 1e-9
-    grid_depth: int = 6
     budget_n2: int = monomials.ENUM_BUDGETS[2]
     budget_n3: int = monomials.ENUM_BUDGETS[3]
 
@@ -40,7 +40,9 @@ _SETTING_TYPES = {f.name: f.type for f in fields(Settings)}
 
 
 def _coerce_setting(name, raw):
-    kind = _SETTING_TYPES[name]
+    kind = _SETTING_TYPES.get(name)
+    if kind is None:
+        raise ValidationError("invalid-config", f"unknown configuration key {name!r}")
     try:
         return int(raw) if kind is int else float(raw)
     except ValueError as exc:
@@ -49,7 +51,11 @@ def _coerce_setting(name, raw):
 
 def _read_config_file(path):
     values = {}
-    with open(path, encoding="utf-8") as handle:
+    try:
+        handle = open(path, encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ValidationError("missing-file", f"config file not found: {path}") from exc
+    with handle:
         for lineno, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -58,8 +64,7 @@ def _read_config_file(path):
                 raise ValidationError("invalid-config", f"{path}:{lineno}: expected key = value")
             key, _, raw = line.partition("=")
             key = key.strip().lower()
-            if key in _SETTING_TYPES:
-                values[key] = _coerce_setting(key, raw.strip().strip('"'))
+            values[key] = _coerce_setting(key, raw.strip().strip('"'))
     return values
 
 
@@ -78,8 +83,8 @@ def resolve_settings(args):
             setattr(settings, name, _coerce_setting(name, env))
     if getattr(args, "tol", None) is not None:
         settings.tol = args.tol
-    if settings.tol <= 0:
-        raise ValidationError("invalid-config", "tolerance must be positive")
+    if not (math.isfinite(settings.tol) and settings.tol > 0):
+        raise ValidationError("invalid-config", "tolerance must be finite and positive")
     return settings
 
 
@@ -134,7 +139,7 @@ def _parse_k_range(text):
 
 def _cmd_hvol(args, settings):
     model = _load_model(args.model)
-    result = invariants.hvol(model, tolerance=settings.tol, grid_depth=settings.grid_depth)
+    result = invariants.hvol(model, tolerance=settings.tol)
     return result.to_payload(), list(result.warnings), None
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry, linalg, monomials, simplex
-from .errors import InvariantViolationError, NonConvergedError, ValidationError
+from .errors import BudgetExceededError, InvariantViolationError, NonConvergedError, ValidationError
 from .models import (
     FanoConeInput,
     MonomialPair,
@@ -155,177 +155,137 @@ def hvol_closed_form(model):
 
 
 class _ToricObjective:
-    """Float and exact evaluators for the slice-restricted volume product.
+    """The slice-restricted volume product and its derivatives.
 
     The dual cone is triangulated once; on the interior the objective is
     the smooth rational function
-        f(xi) = <m, xi>^n * sum_T |det T| / prod_{d in T} <xi, d>.
+        f(xi) = <m, xi>^n * V(xi),  V(xi) = sum_T t_T,  t_T = |det T| / prod_{i in T} p_i,
+    with p_i = <d_i, xi> over the dual rays d_i. It is homogeneous of
+    degree zero and strictly convex on the slice <m, xi> = 1, where it
+    equals V.
     """
 
     def __init__(self, model):
-        self.model = model
         self.n = model.n
-        self.rays = model.cone.rays
+        self.m = model.m_covector
         self.duals = list(model.dual_cone.rays)
-        xi0 = tuple(sum(c) for c in zip(*self.rays))
+        xi0 = tuple(sum(c) for c in zip(*model.cone.rays))
         points = []
         for d in self.duals:
             level = linalg.dot(xi0, d)
             points.append(tuple(Fraction(x) / level for x in d))
-        simplices = geometry._triangulate_indices(points, self.n - 1)
-        self.simplices = []
-        for tri in simplices:
-            dets = abs(linalg.det([self.duals[i] for i in tri]))
-            self.simplices.append((tri, dets))
-        self.m = self.model.m_covector
-        self._m_f = [float(x) for x in self.m]
-        self._duals_f = [[float(x) for x in d] for d in self.duals]
-        self._dets_f = [(tri, float(c)) for tri, c in self.simplices]
+        self.simplices = [
+            (tri, int(abs(linalg.det([self.duals[i] for i in tri]))))
+            for tri in geometry._triangulate_indices(points, self.n - 1)
+        ]
 
-    def value_float(self, xi):
-        a = sum(mf * x for mf, x in zip(self._m_f, xi))
-        if a <= 0:
-            return math.inf
-        pairings = [sum(df[i] * xi[i] for i in range(self.n)) for df in self._duals_f]
-        if any(p <= 1e-14 for p in pairings):
-            return math.inf
-        vol = 0.0
-        for tri, c in self._dets_f:
-            prod = 1.0
-            for i in tri:
-                prod *= pairings[i]
-            vol += c / prod
-        return a**self.n * vol
+    def derivatives(self, xi):
+        """(f, grad f, H) at a point xi of the slice, in the arithmetic of xi.
 
-    def value_exact(self, xi):
-        a = linalg.dot(self.m, xi)
+        Floats give the Newton data, Fractions the exact certificate. H is
+        the Hessian of V, sum_T t_T (s_T s_T^T + sum_{i in T} d_i d_i^T / p_i^2)
+        with s_T = sum_{i in T} d_i / p_i; it agrees with the Hessian of f
+        on directions tangent to the slice, the only ones a step takes.
+        """
+        n = self.n
         pairings = [linalg.dot(d, xi) for d in self.duals]
-        vol = Fraction(0)
+        value = 0
+        dvol = [0] * n
+        hess = [[0] * n for _ in range(n)]
         for tri, c in self.simplices:
-            prod = Fraction(1)
+            prod = 1
             for i in tri:
                 prod *= pairings[i]
-            vol += c / prod
-        return a**self.n * vol
-
-    def gradient_exact(self, xi):
-        a = linalg.dot(self.m, xi)
-        pairings = [linalg.dot(d, xi) for d in self.duals]
-        vol = Fraction(0)
-        dvol = [Fraction(0)] * self.n
-        for tri, c in self.simplices:
-            prod = Fraction(1)
-            for i in tri:
-                prod *= pairings[i]
-            term = c / prod
-            vol += term
-            for axis in range(self.n):
-                s = sum(Fraction(self.duals[i][axis]) / pairings[i] for i in tri)
-                dvol[axis] -= term * s
-        grad = []
-        for axis in range(self.n):
-            grad.append(self.n * self.m[axis] * a ** (self.n - 1) * vol + a**self.n * dvol[axis])
-        return tuple(grad)
+            t = c / prod
+            scaled = [[x / pairings[i] for x in self.duals[i]] for i in tri]
+            s = [sum(col) for col in zip(*scaled)]
+            value += t
+            for j in range(n):
+                dvol[j] -= t * s[j]
+                for k in range(n):
+                    hess[j][k] += t * (s[j] * s[k] + sum(u[j] * u[k] for u in scaled))
+        gradient = tuple(n * mj * value + dj for mj, dj in zip(self.m, dvol))
+        return value, gradient, hess
 
 
-def _simplex_grid(vertices, subdivisions):
-    """All barycentric lattice points of a simplex with given vertices."""
-    r = len(vertices)
-    dim = len(vertices[0])
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    out = []
-    for comp in compositions(subdivisions, r):
-        point = [0.0] * dim
-        for weight, vert in zip(comp, vertices):
-            for i in range(dim):
-                point[i] += weight / subdivisions * vert[i]
-        out.append(point)
-    return out
+# Damped Newton on the slice. f is a float sum of a few terms, so its
+# value resolves decreases only down to about 1e-15 f. Half the squared
+# Newton decrement estimates f - f*; once it falls under NEWTON_DECREMENT
+# times f, well above that resolution, one last full step is taken
+# without the Armijo test: it squares the minimizer's error, a gain the
+# value can no longer show.
+NEWTON_MAX_STEPS = 50
+NEWTON_DECREMENT = 1e-12
+ARMIJO_SHARE = 0.25
+SHORTEST_STEP = 1e-12
 
 
-def hvol_toric(model, tolerance=1e-9, max_iters=400, grid_depth=6):
+def _newton_minimize(model, objective):
+    """Minimize f on the slice <m, xi> = 1 in floats.
+
+    Starts at the ray barycenter, which is interior and on the slice.
+    Each step solves the KKT system [H m; m^T 0] exactly and halves
+    until it stays interior and meets the Armijo condition. Returns the
+    last iterate, its value and whether the decrement test was met.
+    """
+    n = model.n
+    m = model.m_covector
+    rays = model.cone.rays
+    xi = [sum(r[i] for r in rays) / len(rays) for i in range(n)]
+    value, gradient, hess = objective.derivatives(xi)
+    for _ in range(NEWTON_MAX_STEPS):
+        rows = [row + [mi] for row, mi in zip(hess, m)] + [list(m) + [0]]
+        solution = linalg.solve_affine(rows, [-g for g in gradient] + [0], n + 1)
+        step = [float(x) for x in solution[:n]]
+        decrement = -linalg.dot(gradient, step)
+        final = decrement <= 2 * NEWTON_DECREMENT * value
+        t = 1.0
+        while True:
+            trial = [x + t * dx for x, dx in zip(xi, step)]
+            if model.is_interior(trial):
+                level = linalg.dot(m, trial)
+                trial = [x / level for x in trial]
+                derivatives = objective.derivatives(trial)
+                if final or derivatives[0] <= value - ARMIJO_SHARE * t * decrement:
+                    break
+            t /= 2
+            if t < SHORTEST_STEP:
+                return xi, value, False
+        xi, (value, gradient, hess) = trial, derivatives
+        if final:
+            return xi, value, True
+    return xi, value, False
+
+
+def hvol_toric(model, tolerance=1e-9):
     """Normalized volume of a toric singularity over interior weight vectors.
 
-    The objective is scale invariant, so the search runs on the compact
-    slice where the Gorenstein covector pairs to one, which is exactly
-    the convex hull of the primitive rays. Recursive trisection grid
-    refinement is followed by a Nelder-Mead polish; when the minimizer
-    rounds to a nearby rational point of height at most 64 at which the
-    exact gradient vanishes, the result is upgraded to an exact value
-    computed through the independent hull-based volume.
+    The objective is scale invariant and strictly convex on the slice
+    where the Gorenstein covector pairs to one (Martelli-Sparks-Yau), so
+    a damped Newton iteration from the ray barycenter finds its minimum.
+    When the minimizer rounds to a nearby rational point of height at
+    most 64 at which the exact gradient vanishes, the result is upgraded
+    to an exact value computed through the independent hull-based
+    volume. Otherwise the float value is reported with its tolerance,
+    or NonConvergedError is raised when the iteration did not settle.
     """
     if not isinstance(model, ToricSingularity):
         raise ValidationError("invalid-model", "expected a toric singularity")
     if tolerance <= 0:
         raise ValidationError("invalid-tolerance", "tolerance must be positive")
     objective = _ToricObjective(model)
-    rays_f = [[float(x) for x in r] for r in model.cone.rays]
-    nrays = len(rays_f)
-
-    def eval_lambda(lam):
-        xi = [sum(lam[j] * rays_f[j][i] for j in range(nrays)) for i in range(model.n)]
-        return objective.value_float(xi), xi
-
-    simplex_vertices = [[float(i == j) for j in range(nrays)] for i in range(nrays)]
-    best_lam, best_val = None, math.inf
-    for depth in range(grid_depth + 1):
-        for lam in _simplex_grid(simplex_vertices, 6):
-            val, _ = eval_lambda(lam)
-            if val < best_val:
-                best_val, best_lam = val, lam
-        simplex_vertices = [
-            [best_lam[i] + (v[i] - best_lam[i]) / 3.0 for i in range(nrays)]
-            for v in simplex_vertices
-        ]
-    if best_lam is None or not math.isfinite(best_val):
-        raise NonConvergedError("grid search found no interior point", best=None)
-
-    from scipy.optimize import minimize as _nm_minimize
-
-    def softmax(s):
-        mx = max(s)
-        exps = [math.exp(x - mx) for x in s]
-        total = sum(exps)
-        return [e / total for e in exps]
-
-    def nm_objective(s):
-        val, _ = eval_lambda(softmax(s))
-        return val
-
-    # polish, then restart from the polished point; convergence means the
-    # restart no longer moves the value beyond the requested tolerance
-    point = [math.log(max(x, 1e-12)) for x in best_lam]
-    options = {"xatol": 1e-13, "fatol": abs(best_val) * 1e-15, "maxiter": max_iters * nrays, "maxfev": 4000}
-    nm = _nm_minimize(nm_objective, point, method="Nelder-Mead", options=options)
-    polish = _nm_minimize(nm_objective, nm.x, method="Nelder-Mead", options=options)
-    moved = abs(float(polish.fun) - float(nm.fun))
-    for candidate_run in (nm, polish):
-        if candidate_run.fun < best_val:
-            best_val = float(candidate_run.fun)
-            best_lam = softmax(candidate_run.x)
-    numeric_value = best_val
-    converged = moved <= tolerance * max(1.0, abs(numeric_value))
-    _, xi_best = eval_lambda(best_lam)
+    xi_unit, numeric_value, converged = _newton_minimize(model, objective)
 
     # rational upgrade near a low-height rational point
-    a_best = sum(float(m) * x for m, x in zip(model.m_covector, xi_best))
-    xi_unit = [x / a_best for x in xi_best]
     candidate = tuple(Fraction(x).limit_denominator(64) for x in xi_unit)
     upgraded = None
     if model.is_interior(candidate):
         level = linalg.dot(model.m_covector, candidate)
         candidate = tuple(x / level for x in candidate)
-        if objective.gradient_exact(candidate) == tuple(Fraction(0) for _ in range(model.n)):
+        value, gradient, _ = objective.derivatives(candidate)
+        if all(g == 0 for g in gradient):
             exact_value = normalized_volume_of_valuation(model, WeightValuation(candidate))
-            if exact_value != objective.value_exact(candidate):
+            if exact_value != value:
                 raise InvariantViolationError(
                     "volume-path-disagreement",
                     "triangulation and hull volumes differ at the upgraded minimizer",
@@ -348,7 +308,7 @@ def hvol_toric(model, tolerance=1e-9, max_iters=400, grid_depth=6):
 
     if not converged:
         raise NonConvergedError(
-            "restarted polish still moving beyond tolerance",
+            f"Newton iteration did not settle within {NEWTON_MAX_STEPS} steps",
             best=numeric_value,
         )
     reported = tuple(Fraction(x).limit_denominator(10**9) for x in xi_unit)
@@ -365,14 +325,14 @@ def hvol_toric(model, tolerance=1e-9, max_iters=400, grid_depth=6):
     )
 
 
-def hvol(model, **options):
+def hvol(model, tolerance=1e-9):
     """Normalized volume of any supported model."""
     if isinstance(model, MonomialPair):
         return hvol_closed_form(model)
     if isinstance(model, ToricSingularity):
-        return hvol_toric(model, **options)
+        return hvol_toric(model, tolerance)
     if isinstance(model, FanoConeInput):
-        return hvol_toric(cone_construction(model), **options)
+        return hvol_toric(cone_construction(model), tolerance)
     raise ValidationError("invalid-model", f"unsupported model {type(model).__name__}")
 
 
@@ -426,7 +386,8 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=D
     Exact mode enumerates every monomial staircase in range (refusing
     beyond the configured budget); upper mode scans valuation ideals of
     a rational weight grid and therefore only bounds the infimum from
-    above. Ties are broken by the lexicographically least staircase.
+    above (refusing above the fixed ceiling `monomials.UPPER_BUDGETS`).
+    Ties are broken by the lexicographically least staircase.
     """
     if not isinstance(model, MonomialPair):
         raise ValidationError("invalid-model", "normalized colength is computed on monomial pairs")
@@ -437,7 +398,7 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=D
         raise ValidationError("invalid-exponent", "k must be at least 2")
     n = model.n
     min_colength = math.ceil(c * Fraction(k) ** n)
-    full = monomials.maximal_power(n, k).colength()
+    full = math.comb(n + k - 1, n)  # colength of m^k: the monomials of degree < k
     if min_colength > full:
         raise ValidationError(
             "infeasible-c",
@@ -452,6 +413,12 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=D
     if mode == "exact":
         ideals = monomials.enumerate_staircases(n, k, min_colength=max(1, min_colength), budgets=budgets)
     elif mode == "upper":
+        budget = monomials.UPPER_BUDGETS.get(n, 1)
+        if k > budget:
+            raise BudgetExceededError(
+                f"upper-mode scan for n={n} is budgeted at k <= {budget}, got k={k}",
+                n=n, k=k, budget=budget,
+            )
         ideals = _valuation_ideals(n, k, min_colength, weight_ratios)
     else:
         raise ValidationError("invalid-mode", f"unknown mode {mode!r}")
@@ -643,7 +610,7 @@ class KssVerdict:
         }
 
 
-def kss_via_cone(fano, tolerance=1e-6, check_oracle=True, **hvol_options):
+def kss_via_cone(fano, tolerance=1e-6, check_oracle=True):
     """K-semistability of a polarized toric base through its cone.
 
     Compares the normalized volume of the cone vertex against the
@@ -655,7 +622,7 @@ def kss_via_cone(fano, tolerance=1e-6, check_oracle=True, **hvol_options):
     verdict is a hard error.
     """
     model = cone_construction(fano)
-    result = hvol_toric(model, tolerance=min(tolerance, 1e-9), **hvol_options)
+    result = hvol_toric(model, tolerance=min(tolerance, 1e-9))
     bound = fano_degree_bound(fano)
     if result.exact:
         margin = bound - result.value

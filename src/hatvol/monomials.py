@@ -16,6 +16,11 @@ from .rationals import parse_int, parse_rational
 # default staircase budgets per ambient dimension
 ENUM_BUDGETS = {2: 12, 3: 5}
 
+# fixed k ceilings of the upper-mode valuation-ideal scan per ambient
+# dimension, each about 20 s or less on a 2-core machine; other
+# dimensions are refused
+UPPER_BUDGETS = {1: 100000, 2: 480, 3: 5, 4: 2}
+
 
 def _antichain(points):
     """Minimal elements under componentwise <=."""

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import hatvol
 from hatvol import acceptance
+from hatvol import invariants
 from hatvol import monomials
 from hatvol.cli import main
 
@@ -114,6 +119,25 @@ class TestCommands:
         result = result_of(out)
         assert code == 0 and result["value"] == "27" and result["holds"] is True
 
+    def test_hvol_without_scipy(self, workdir):
+        # the toric optimizer is pure Python; nothing on this path imports scipy
+        model = write(workdir / "p2.json", {"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3]], "r": 1})
+        script = (
+            "import sys\n"
+            "from hatvol.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('scipy' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hatvol.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "hvol", "--model", model],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert result_of(proc.stdout)["value"] == "9"
+        assert proc.stderr.strip() == "False"
+
     def test_out_file(self, capsys, an2, workdir):
         target = workdir / "report.json"
         code, out, _ = run(capsys, "hvol", "--model", an2, "--out", str(target))
@@ -131,6 +155,25 @@ class TestErrorPaths:
         code, _, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "20")
         assert code == 3
         assert json.loads(err)["error"] == "enumeration-budget-exceeded"
+
+    @pytest.mark.parametrize("n,mode", [(2, "upper"), (3, "exact"), (3, "upper"), (5, "upper")])
+    def test_large_k_refused_promptly(self, capsys, workdir, n, mode):
+        model = write(workdir / "space.json", {"type": "monomial_pair", "n": n, "coeffs": ["0"] * n})
+        started = time.perf_counter()
+        code, out, err = run(capsys, "hatl", "--model", model, "--c", "1/1000", "--k", "1000", "--mode", mode)
+        assert time.perf_counter() - started < 10
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "enumeration-budget-exceeded"
+
+    def test_non_convergence(self, capsys, workdir, monkeypatch):
+        # the blow-up cone has an irrational minimizer, so only a settled
+        # Newton iteration can report it
+        monkeypatch.setattr(invariants, "NEWTON_MAX_STEPS", 1)
+        model = write(workdir / "blowup.json", {"type": "fano_cone", "polytope": [[-1, -1], [2, -1], [0, 1], [-1, 1]]})
+        code, out, err = run(capsys, "hvol", "--model", model)
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "non-converged" and error["best"] > (46 + 13 * 13**0.5) / 12
 
     def test_infeasible_c(self, capsys, an2):
         code, _, err = run(capsys, "hatl", "--model", an2, "--c", "9", "--k", "4")
@@ -221,6 +264,15 @@ PINNED_INPUTS = {
     "p2.json": {"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3]], "r": 1},
     "p112.json": {"type": "fano_cone", "polytope": [[-1, -1], [-1, 1], [3, -1]], "r": 1},
     "tri.json": {"vertices": [["0", "0"], ["3/2", "0"], ["0", "2"]]},
+    "dp6.json": {"type": "fano_cone", "polytope": [[-1, 0], [0, -1], [1, -1], [1, 0], [0, 1], [-1, 1]], "r": 1},
+    "dodecagon.json": {
+        "type": "toric",
+        "rays": [
+            [0, 0, 1], [1, 0, 1], [3, 1, 1], [4, 2, 1], [5, 4, 1], [5, 5, 1],
+            [4, 6, 1], [3, 6, 1], [1, 5, 1], [0, 4, 1], [-1, 2, 1], [-1, 1, 1],
+        ],
+    },
+    "orthant4.json": {"type": "toric", "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
 }
 
 # literal `result` payloads; a refactor that changes one must say why
@@ -256,6 +308,24 @@ PINNED_RESULTS = [
         '{"certificate": "zero exact gradient at rational interior weights of height <= 64", '
         '"exact": true, "method": "numeric_slice", "minimizer": ["0", "-1/3", "1"], '
         '"tolerance": 1e-09, "value": "27/4"}',
+    ),
+    (
+        "hvol --model dp6.json",
+        '{"certificate": "zero exact gradient at rational interior weights of height <= 64", '
+        '"exact": true, "method": "numeric_slice", "minimizer": ["0", "0", "1"], '
+        '"tolerance": 1e-09, "value": "6"}',
+    ),
+    (
+        "hvol --model dodecagon.json",
+        '{"certificate": "zero exact gradient at rational interior weights of height <= 64", '
+        '"exact": true, "method": "numeric_slice", "minimizer": ["2", "3", "1"], '
+        '"tolerance": 1e-09, "value": "4/5"}',
+    ),
+    (
+        "hvol --model orthant4.json",
+        '{"certificate": "zero exact gradient at rational interior weights of height <= 64", '
+        '"exact": true, "method": "numeric_slice", "minimizer": ["1/4", "1/4", "1/4", "1/4"], '
+        '"tolerance": 1e-09, "value": "256"}',
     ),
     (
         "lattice --body tri.json --k-range 1:6",
@@ -294,6 +364,28 @@ class TestConfigPrecedence:
         monkeypatch.setenv("HATVOL_TOL", "1e-8")
         _, out, _ = run(capsys, "hvol", "--model", model, "--tol", "1e-6")
         assert result_of(out)["tolerance"] == 1e-6
+
+    @pytest.mark.parametrize(
+        "flags,env,config,error",
+        [
+            (["--config", "nope.toml"], None, None, "missing-file"),
+            ([], None, "grid_depth = 8\n", "invalid-config"),
+            (["--tol", "nan"], None, None, "invalid-config"),
+            ([], "nan", None, "invalid-config"),
+            ([], None, "tol = nan\n", "invalid-config"),
+            (["--tol", "inf"], None, None, "invalid-config"),
+        ],
+        ids=["missing-file", "unknown-key", "nan-flag", "nan-env", "nan-file", "inf-flag"],
+    )
+    def test_bad_config_rejected(self, capsys, workdir, monkeypatch, flags, env, config, error):
+        model = write(workdir / "a1.json", {"type": "toric", "rays": [[0, 1], [2, -1]]})
+        if env is not None:
+            monkeypatch.setenv("HATVOL_TOL", env)
+        if config is not None:
+            (workdir / "hatvol.toml").write_text(config)
+        code, out, err = run(capsys, "hvol", "--model", model, *flags)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ import pytest
 
 from hatvol import geometry as G
 from hatvol import invariants as I
+from hatvol import linalg
 from hatvol import models as MD
 from hatvol import monomials as M
 from hatvol.errors import InvariantViolationError, ValidationError
@@ -176,6 +177,28 @@ class TestHvolToric:
         toric = MD.cone_construction(blowup)
         at_minimizer = MD.normalized_volume_of_valuation(toric, result.minimizer)
         assert abs(float(at_minimizer) - result.value) <= 1e-9 * result.value
+
+    def test_derivatives_float_and_exact(self):
+        # one evaluator serves the float Newton steps and the Fraction
+        # certificate; its Hessian must match central differences of the
+        # exact gradient along directions tangent to the slice
+        model = MD.cone_construction(fano([(-1, -1), (-1, 1), (0, 1), (2, -1)]))
+        objective = I._ToricObjective(model)
+        rays = model.cone.rays
+        xi = tuple(F(sum(r[i] for r in rays), len(rays)) for i in range(model.n))
+        value, gradient, hess = objective.derivatives(xi)
+        assert value == MD.normalized_volume_of_valuation(model, MD.WeightValuation(xi))
+        float_value, float_gradient, float_hess = objective.derivatives([float(x) for x in xi])
+        assert float_value == pytest.approx(float(value), rel=1e-12)
+        assert float_gradient == pytest.approx([float(g) for g in gradient], rel=1e-12, abs=1e-12)
+        assert float_hess == [pytest.approx([float(x) for x in row], rel=1e-12) for row in hess]
+        h = F(1, 10**6)
+        for delta in linalg.nullspace([model.m_covector], model.n):
+            up = objective.derivatives(tuple(x + h * d for x, d in zip(xi, delta)))[1]
+            down = objective.derivatives(tuple(x - h * d for x, d in zip(xi, delta)))[1]
+            second = linalg.dot(delta, [(u - w) / (2 * h) for u, w in zip(up, down)])
+            quadratic = linalg.dot(delta, [linalg.dot(row, delta) for row in hess])
+            assert float(second) == pytest.approx(float(quadratic), rel=1e-9)
 
     def test_blowup_cone_unstable(self):
         verdict = I.kss_via_cone(fano([(-1, -1), (-1, 1), (0, 1), (2, -1)]))
