@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geometry, invariants, monomials, simplex
+from . import geometry, invariants, linalg, monomials, simplex
 from .errors import HatvolError, InvariantViolationError
 from .models import (
     FanoConeInput,
@@ -329,18 +329,62 @@ def criterion_q_bound(fast=False):
     return True, "4 <= 4, 27 <= 27, 16 <= 27 exact", "exact", ""
 
 
+# Exhaustive corpora (n, k, boundary) on which lct meets the simplex
+# oracle; the fast suite runs the boundary-free n = 2 corpus at k = 6.
+LCT_ORACLE_CORPORA = (
+    (2, 10, (0, 0)),
+    (3, 4, (0, 0, 0)),
+    (2, 6, (Fraction(1, 2), 0)),
+    (2, 6, (Fraction(2, 7), Fraction(5, 9))),
+    (3, 3, (Fraction(1, 2), 0, Fraction(1, 3))),
+)
+LCT_ORACLE_CORPORA_FAST = ((2, 6, (0, 0)),) + LCT_ORACLE_CORPORA[2:]
+
+
+def _check_lct_against_lp(model, ideal):
+    """lct from Newton facets against the simplex solver of the covering LP.
+
+    The values must agree, and the reported weight must be a feasible
+    point of the program at that value, with the active constraints
+    exactly the generators it meets with equality. Where the optimum is
+    unique this forces the simplex weight; a different feasible weight
+    at the same value shows that the optimum is not unique.
+    """
+    result = invariants.lct(model, ideal)
+    costs = [1 - a for a in model.coeffs]
+    lp = simplex.solve_covering(costs, ideal.gens)
+    weight = result.minimizing_weight
+    pairings = [linalg.dot(g, weight) for g in ideal.gens]
+    if not (
+        result.value == lp.value
+        and linalg.dot(costs, weight) == lp.value
+        and all(w >= 0 for w in weight)
+        and all(p >= 1 for p in pairings)
+        and result.active_constraints == tuple(g for g, p in zip(ideal.gens, pairings) if p == 1)
+    ):
+        raise InvariantViolationError(
+            "lct-path-disagreement",
+            f"linear program gave {lp.value} at {lp.weights}, Newton facets gave {result.value} at {weight}",
+            gens=[list(g) for g in ideal.gens],
+            coeffs=[str(a) for a in model.coeffs],
+        )
+
+
 def criterion_cross_validation(fast=False):
     """Independent paths agree: thresholds, multiplicities, scaling."""
     rng = random.Random(SEED + 1)
-    model = MonomialPair(2, (0, 0))
-    kmax = 4 if fast else 6
     corpus = 0
-    for ideal in monomials.enumerate_staircases(2, kmax):
-        corpus += 1
-        # lct() itself reruns the membership value; add the basic-point solver
-        result = invariants.lct(model, ideal)
+    for n, k, coeffs in LCT_ORACLE_CORPORA_FAST if fast else LCT_ORACLE_CORPORA:
+        model = MonomialPair(n, coeffs)
+        for ideal in monomials.enumerate_staircases(n, k):
+            corpus += 1
+            _check_lct_against_lp(model, ideal)
+    plane = MonomialPair(2, (0, 0))
+    vertex_checks = 0
+    for ideal in monomials.enumerate_staircases(2, 4 if fast else 6):
+        vertex_checks += 1
         check = simplex.solve_covering_by_vertices([1, 1], ideal.gens)
-        if check.value != result.value:
+        if check.value != invariants.lct(plane, ideal).value:
             return False, f"vertex solver disagrees at {ideal.gens}", "exact equality", ""
     m_exp = 40
     ideal_count = 25 if fast else 100
@@ -367,7 +411,8 @@ def criterion_cross_validation(fast=False):
             return False, "volume scaling failed", "exact", ""
     return (
         True,
-        f"{corpus} threshold cross-checks, worst limit deviation {float(worst):.3f}, {cases} scaling cases",
+        f"{corpus} threshold cross-checks against the LP, {vertex_checks} against vertex enumeration, "
+        f"worst limit deviation {float(worst):.3f}, {cases} scaling cases",
         "exact / within 5%",
         "",
     )

@@ -39,6 +39,17 @@ class Settings:
 _SETTING_TYPES = {f.name: f.type for f in fields(Settings)}
 
 
+def _read_text(path, kind):
+    """The UTF-8 text of an input file; an unreadable one is a validation error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError as exc:
+        raise ValidationError("missing-file", f"{kind} file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError("unreadable-file", f"cannot read {kind} file {path}: {exc}") from exc
+
+
 def _coerce_setting(name, raw):
     kind = _SETTING_TYPES.get(name)
     if kind is None:
@@ -51,20 +62,15 @@ def _coerce_setting(name, raw):
 
 def _read_config_file(path):
     values = {}
-    try:
-        handle = open(path, encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise ValidationError("missing-file", f"config file not found: {path}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError("invalid-config", f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            key = key.strip().lower()
-            values[key] = _coerce_setting(key, raw.strip().strip('"'))
+    for lineno, line in enumerate(_read_text(path, "config").splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError("invalid-config", f"{path}:{lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        key = key.strip().lower()
+        values[key] = _coerce_setting(key, raw.strip().strip('"'))
     return values
 
 
@@ -85,6 +91,9 @@ def resolve_settings(args):
         settings.tol = args.tol
     if not (math.isfinite(settings.tol) and settings.tol > 0):
         raise ValidationError("invalid-config", "tolerance must be finite and positive")
+    for name in ("budget_n2", "budget_n3"):
+        if getattr(settings, name) < 1:
+            raise ValidationError("invalid-config", f"{name} must be at least 1")
     return settings
 
 
@@ -94,10 +103,7 @@ def resolve_settings(args):
 
 def _load_json(path, kind):
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError as exc:
-        raise ValidationError("missing-file", f"{kind} file not found: {path}") from exc
+        return json.loads(_read_text(path, kind))
     except json.JSONDecodeError as exc:
         raise ValidationError("invalid-json", f"{kind} file {path} is not valid JSON: {exc}") from exc
 

@@ -4,13 +4,15 @@ Convex bodies are stored by their vertices. Every facet system (of a
 hull, of a polyhedron with recession rays, of a cone) comes from one
 kernel, `_extreme_rays`, which enumerates the extreme rays of a dual
 cone over all small generator subsets; for hulls and polyhedra the
-cone is the homogenization one dimension higher. That is entirely
-adequate at desk scale. Every computation
-here (hulls, duals, volumes, lattice counts, the counting and
-Riemann-sum probes) runs over `fractions.Fraction`; no floating point
-enters this module.
+cone is the homogenization one dimension higher. Its generators are
+integer vectors, and the candidate ray of each subset is the vector of
+its signed integer maximal minors. That is entirely adequate at desk
+scale. Every other computation here (hulls, duals, volumes, lattice
+counts, the counting and Riemann-sum probes) runs over
+`fractions.Fraction`; no floating point enters this module.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -568,8 +570,40 @@ class Cone:
         return f"Cone(rays={list(self.rays)})"
 
 
+@functools.lru_cache(maxsize=None)
+def _minor_plan(dim):
+    """How the minors of dim - 1 rows build up, row by row. The 1-minors
+    are the first row; level t >= 2 lists, for each t-set of columns in
+    combinations order, the terms (sign, column, index of a (t-1)-minor)
+    of its expansion along row t. The last entry gives, for each column
+    j, the sign and index of the minor without it."""
+    levels = []
+    index = {(j,): j for j in range(dim)}
+    for t in range(2, dim):
+        subsets = list(itertools.combinations(range(dim), t))
+        levels.append(tuple(
+            tuple(((-1) ** (t - 1 - p), j, index[cols[:p] + cols[p + 1:]]) for p, j in enumerate(cols))
+            for cols in subsets
+        ))
+        index = {cols: i for i, cols in enumerate(subsets)}
+    final = tuple(((-1) ** j, index[tuple(i for i in range(dim) if i != j)]) for j in range(dim))
+    return levels, final
+
+
+def _kernel_vector(rows, dim):
+    """Signed maximal minors of dim - 1 integer rows: coordinate j is
+    (-1)^j times the minor without column j. The vector is orthogonal to
+    every row, and zero exactly when the rows are dependent."""
+    levels, final = _minor_plan(dim)
+    minors = rows[0]
+    for row, level in zip(rows[1:], levels):
+        minors = [sum(s * row[j] * minors[k] for s, j, k in terms) for terms in level]
+    return tuple(s * minors[k] for s, k in final)
+
+
 def _extreme_rays(normals, dim):
-    """Extreme rays of {y : <n, y> >= 0 for all n}, assuming full row rank."""
+    """Extreme rays of {y : <n, y> >= 0 for all n} over integer normals,
+    assuming full row rank, as sorted primitive integer vectors."""
     if dim == 1:
         out = []
         for cand in ((1,), (-1,)):
@@ -578,12 +612,12 @@ def _extreme_rays(normals, dim):
         return sorted(out)
     found = set()
     for subset in itertools.combinations(normals, dim - 1):
-        kernel = linalg.nullspace(list(subset), dim)
-        if len(kernel) != 1:
+        kernel = _kernel_vector(subset, dim)
+        if not any(kernel):
             continue
-        ray = linalg.primitive(linalg.clear_denominators(kernel[0]))
+        ray = linalg.primitive(kernel)
         for cand in (ray, tuple(-x for x in ray)):
-            if all(linalg.dot(n, cand) >= 0 for n in normals):
+            if cand not in found and all(linalg.dot(n, cand) >= 0 for n in normals):
                 found.add(cand)
     return sorted(found)
 

@@ -1,8 +1,9 @@
 """The invariant engine.
 
-Log canonical thresholds by exact linear programming, normalized
-multiplicities, normalized-volume minimization (closed form on monomial
-pairs, numeric with rational upgrade on toric cones), the normalized
+Log canonical thresholds from the Newton facets (the covering LP in
+`simplex` is their oracle in `verify`), normalized multiplicities,
+normalized-volume minimization (closed form on monomial pairs, numeric
+with rational upgrade on toric cones), the normalized
 colength functional with its convergence scans, and the comparison
 probes that the verification suite drives.
 """
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geometry, linalg, monomials, simplex
+from . import geometry, linalg, monomials
 from .errors import BudgetExceededError, InvariantViolationError, NonConvergedError, ValidationError
 from .models import (
     FanoConeInput,
@@ -52,19 +53,17 @@ class LctResult:
         }
 
 
-def howald_membership_value(ideal):
-    """Largest t with the all-ones vector in t times the Newton polyhedron."""
-    ones = tuple(1 for _ in range(ideal.n))
-    return min(Fraction(linalg.dot(n, ones)) / c for n, c in ideal.newton_facets())
-
-
 def lct(model, ideal):
     """Log canonical threshold of a monomial ideal on a monomial pair.
 
-    Computed as the exact covering program: minimize sum (1 - a_i) w_i
-    over weight vectors w >= 0 with <w, u> >= 1 for every generator u.
-    On the boundary-free model the independent Newton-polyhedron
-    membership value is computed as well, and the two must agree.
+    The covering program min <1 - a, w> over w >= 0 with <w, g> >= 1 for
+    every generator g is blocking-dual to the Newton polyhedron: its
+    vertices are normal / c over the Newton facets <normal, u> >= c with
+    c > 0 (Howald). So the threshold is the least <1 - a, normal> / c
+    over those facets, for every boundary. The minimizing weight is
+    normal / c of the chosen facet, the lexicographically greatest on a
+    tie, and the active constraints are the generators on that facet.
+    `verify` checks this against the simplex solver in `simplex`.
     """
     if not isinstance(model, MonomialPair):
         raise ValidationError("invalid-model", "lct is computed on monomial pairs")
@@ -73,19 +72,17 @@ def lct(model, ideal):
     if ideal.is_unit:
         raise ValidationError("lct-undefined", "the unit ideal has no log canonical threshold")
     costs = [1 - a for a in model.coeffs]
-    lp = simplex.solve_covering(costs, ideal.gens)
-    if all(a == 0 for a in model.coeffs):
-        member = howald_membership_value(ideal)
-        if member != lp.value:
-            raise InvariantViolationError(
-                "lct-path-disagreement",
-                f"linear program gave {lp.value}, membership value gave {member}",
-                gens=[list(g) for g in ideal.gens],
-            )
+    best = None
+    for normal, c in ideal.newton_facets():
+        weight = tuple(Fraction(x, c) for x in normal)
+        value = linalg.dot(costs, weight)
+        if best is None or value < best[0] or (value == best[0] and weight > best[1]):
+            best = (value, weight, normal, c)
+    value, weight, normal, c = best
     return LctResult(
-        value=lp.value,
-        minimizing_weight=lp.weights,
-        active_constraints=tuple(ideal.gens[i] for i in lp.active),
+        value=value,
+        minimizing_weight=weight,
+        active_constraints=tuple(g for g in ideal.gens if linalg.dot(normal, g) == c),
     )
 
 

@@ -1,12 +1,16 @@
 """Exact rational linear programming for covering problems.
 
 Solves  minimize <c, w>  subject to  <g_i, w> >= 1,  w >= 0
-with c > 0 and nonzero g_i >= 0, the shape of every log canonical
-threshold computation in this package. The primal simplex method runs
-on the dual (which has a feasible slack basis), entirely over Fraction,
-with Bland's anti-cycling rule; the optimal primal vertex is read off
-the reduced costs of the slack columns. A direct vertex-enumeration
-solver is provided as an independent cross-check for small systems.
+with c > 0 and nonzero g_i >= 0. With c = 1 - a and the g_i the
+generators of a monomial ideal this is its log canonical threshold on
+the pair with boundary a; `invariants.lct` reads the same optimum off
+the Newton facets, and `verify` checks the two against each other.
+
+The primal simplex method runs on the dual (which has a feasible slack
+basis), entirely over Fraction, with Bland's anti-cycling rule; the
+optimal primal vertex is read off the reduced costs of the slack
+columns. A direct vertex-enumeration solver is provided as an
+independent cross-check for small systems.
 """
 
 import itertools

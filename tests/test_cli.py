@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -151,6 +152,24 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(err)["error"] == "missing-file"
 
+    @pytest.mark.parametrize("flag", ["--model", "--ideal", "--body", "--config"])
+    @pytest.mark.parametrize("bad", ["directory", "non-utf8"])
+    def test_unreadable_input_rejected(self, capsys, workdir, an2, x2y3, flag, bad):
+        path = workdir / "bad"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"n": 2, "gens": [[1, 0]]}\xff')
+        argv = {
+            "--model": ["hvol", "--model", str(path)],
+            "--ideal": ["mult", "--ideal", str(path)],
+            "--body": ["lattice", "--body", str(path), "--k-range", "1:2"],
+            "--config": ["mult", "--ideal", x2y3, "--config", str(path)],
+        }[flag]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "unreadable-file"
+
     def test_budget_exceeded(self, capsys, an2):
         code, _, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "20")
         assert code == 3
@@ -261,6 +280,9 @@ PINNED_INPUTS = {
     "a.json": {"n": 3, "gens": [[4, 0, 0], [0, 4, 0], [0, 0, 4], [2, 1, 0], [0, 2, 1], [1, 0, 2]]},
     "b.json": {"n": 3, "gens": [[2, 0, 0], [0, 3, 0], [0, 0, 5], [1, 1, 0], [0, 1, 2]]},
     "c.json": {"n": 3, "gens": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1], [2, 0, 1]]},
+    "plane.json": {"type": "monomial_pair", "n": 2, "coeffs": ["0", "0"]},
+    "tie2.json": {"n": 2, "gens": [[3, 0], [1, 1], [0, 3]]},
+    "tie3.json": {"n": 3, "gens": [[2, 0, 0], [1, 2, 0], [1, 0, 1], [0, 3, 0], [0, 1, 1], [0, 0, 2]]},
     "p2.json": {"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3]], "r": 1},
     "p112.json": {"type": "fano_cone", "polytope": [[-1, -1], [-1, 1], [3, -1]], "r": 1},
     "tri.json": {"vertices": [["0", "0"], ["3/2", "0"], ["0", "2"]]},
@@ -294,6 +316,17 @@ PINNED_RESULTS = [
         "lct --model space.json --ideal c.json",
         '{"active_constraints": [[3, 0, 0], [2, 0, 1], [1, 1, 1], [0, 3, 0], [0, 0, 3]], '
         '"minimizing_weight": ["1/3", "1/3", "1/3"], "value": "1"}',
+    ),
+    # tied optima: two facets attain the threshold, and the lexicographically
+    # greatest weight is reported
+    (
+        "lct --model plane.json --ideal tie2.json",
+        '{"active_constraints": [[1, 1], [0, 3]], "minimizing_weight": ["2/3", "1/3"], "value": "1"}',
+    ),
+    (
+        "lct --model space.json --ideal tie3.json",
+        '{"active_constraints": [[2, 0, 0], [1, 0, 1], [0, 1, 1], [0, 0, 2]], '
+        '"minimizing_weight": ["1/2", "1/2", "1/2"], "value": "3/2"}',
     ),
     (
         "cone --model p2.json",
@@ -388,6 +421,18 @@ class TestConfigPrecedence:
         assert json.loads(err)["error"] == error
 
 
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_budget_below_one_rejected(self, capsys, workdir, monkeypatch, an2, budget, source):
+        if source == "file":
+            (workdir / "hatvol.toml").write_text(f"budget_n2 = {budget}\n")
+        else:
+            monkeypatch.setenv("HATVOL_BUDGET_N2", budget)
+        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-config"
+
+
 class TestVerify:
     def test_tampered_multiplicity_trips_exit_four(self, monkeypatch):
         # off-by-n! multiplicities must trip the colength comparison hard
@@ -401,3 +446,21 @@ class TestVerify:
         assert acceptance.suite_exit_code(results) == 4
         lech = next(r for r in results if r.name == "colength-multiplicity-comparison")
         assert lech.hard_failure and not lech.passed
+
+    def test_tampered_lct_trips_exit_four(self, monkeypatch):
+        # a threshold off by one on a single ideal must trip the LP oracle hard
+        true_lct = invariants.lct
+        target = monomials.MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
+
+        def tampered(model, ideal):
+            result = true_lct(model, ideal)
+            if ideal == target:
+                return dataclasses.replace(result, value=result.value + 1)
+            return result
+
+        monkeypatch.setattr(invariants, "lct", tampered)
+        results = acceptance.run_suite("fast")
+        assert acceptance.suite_exit_code(results) == 4
+        cross = next(r for r in results if r.name == "engine-cross-validation")
+        assert cross.hard_failure and not cross.passed
+        assert "Newton facets gave" in cross.measured

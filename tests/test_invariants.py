@@ -7,6 +7,7 @@ from hatvol import invariants as I
 from hatvol import linalg
 from hatvol import models as MD
 from hatvol import monomials as M
+from hatvol import simplex
 from hatvol.errors import InvariantViolationError, ValidationError
 
 AN2 = MD.MonomialPair(2, (0, 0))
@@ -51,12 +52,12 @@ class TestLct:
         assert info.value.code == "lct-undefined"
 
     def test_membership_value_agrees_on_corpus(self):
+        # the Newton-facet value (Howald) against the covering LP
         for ideal in M.enumerate_staircases(2, 5):
-            # lct() itself cross-checks; verify the membership value directly too
-            assert I.howald_membership_value(ideal) == I.lct(AN2, ideal).value
+            assert I.lct(AN2, ideal).value == simplex.solve_covering([1, 1], ideal.gens).value
 
     def test_membership_value_3d(self):
-        assert I.howald_membership_value(M.maximal_power(3, 2)) == F(3, 2)
+        assert I.lct(AN3, M.maximal_power(3, 2)).value == F(3, 2)
 
     def test_non_primary_ideals(self):
         # threshold is defined for any nonzero proper monomial ideal
@@ -76,7 +77,21 @@ class TestLct:
             generic = min(
                 F(n[0] + n[1]) / c for n, c in ideal.newton_polyhedron().facets if c > 0
             )
-            assert I.howald_membership_value(ideal) == generic
+            assert I.lct(AN2, ideal).value == generic
+
+    def test_no_linear_program_on_any_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the simplex solver is an oracle, not an engine")
+
+        monkeypatch.setattr(simplex, "solve_covering", refuse)
+        pair = MD.MonomialPair(2, (F(1, 2), 0))
+        assert I.lct(pair, M.MonomialIdeal(2, [(2, 0), (0, 3)])).value == F(1, 4) + F(1, 3)
+        pair = MD.MonomialPair(3, (F(1, 2), 0, F(1, 3)))
+        assert I.lct(pair, M.maximal_ideal(3)).value == F(1, 2) + 1 + F(2, 3)
+        value, _ = I.normalized_colength(AN2, F(1, 8), 4)
+        assert value == 5
+        value, _ = I.normalized_colength(AN3, F(1, 24), 3)
+        assert value == 60
 
 
 class TestNormalizedMultiplicity:
