@@ -310,8 +310,11 @@ def _emit(args, report, csv_rows):
     else:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError("unwritable-file", f"cannot write output file {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

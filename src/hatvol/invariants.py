@@ -8,6 +8,7 @@ colength functional with its convergence scans, and the comparison
 probes that the verification suite drives.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,7 +357,7 @@ def default_scan_constant(n):
 
 
 def _staircase_key(ideal):
-    return ideal.staircase().points
+    return ideal.staircase()
 
 
 def _argmin(ideals, value):
@@ -442,9 +443,7 @@ def _valuation_ideals(n, k, min_colength, ratios):
 
 def _weight_grid(n, ratios):
     """Rational weight vectors with minimum entry one."""
-    import itertools as _it
-
-    for combo in _it.product(ratios, repeat=n):
+    for combo in itertools.product(ratios, repeat=n):
         if min(combo) == 1:
             yield combo
 

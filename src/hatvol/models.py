@@ -9,13 +9,14 @@ upper bounds for the corresponding unrestricted infima and are flagged
 as such in reports.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry, linalg
-from .errors import ValidationError
-from .rationals import parse_int, parse_rational
+from .errors import InvariantViolationError, ValidationError
+from .rationals import format_rational, parse_int, parse_rational
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,6 @@ class MonomialPair:
         object.__setattr__(self, "coeffs", coeffs)
 
     def to_json(self):
-        from .rationals import format_rational
-
         return {"type": "monomial_pair", "n": self.n, "coeffs": [format_rational(a) for a in self.coeffs]}
 
 
@@ -192,8 +191,6 @@ def normalized_volume_of_valuation(model, valuation):
 def cone_construction(fano):
     """Affine cone over the polarized base: the cone dual to
     Cone(polytope x {1}), with its Gorenstein covector verified."""
-    from .errors import InvariantViolationError
-
     gens = []
     for v in fano.polytope.vertices:
         gens.append(tuple(int(x) for x in v) + (1,))
@@ -235,9 +232,7 @@ def toric_kss_oracle(polytope):
     interior = []
     box = [polytope.coordinate_range(axis) for axis in range(polytope.dim)]
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
-    import itertools as _it
-
-    for u in _it.product(*ranges):
+    for u in itertools.product(*ranges):
         if polytope.contains(u, strict=True):
             interior.append(u)
     if len(interior) != 1:

@@ -2,6 +2,12 @@
 colengths, multiplicities, powers, integral closures, valuation ideals,
 and exhaustive enumeration of the ideals squeezed between two powers of
 the maximal ideal.
+
+Every staircase is held by its column heights: for each cell u of the
+first n - 1 exponents, in lexicographic order, h(u) is the number of
+standard monomials (u, z). Colength, staircase, valuation ideals,
+integral closures and the enumeration all fill in heights; one corner
+reader turns heights back into minimal generators.
 """
 
 import itertools
@@ -20,6 +26,10 @@ ENUM_BUDGETS = {2: 12, 3: 5}
 # dimension, each about 20 s or less on a 2-core machine; other
 # dimensions are refused
 UPPER_BUDGETS = {1: 100000, 2: 480, 3: 5, 4: 2}
+
+# largest box of column cells a height computation builds; larger boxes
+# (huge exponents on outside input) are refused
+MAX_BOX_CELLS = 10**6
 
 
 def _antichain(points):
@@ -44,26 +54,32 @@ def _dominates(u, g):
     return all(u[i] >= g[i] for i in range(len(u)))
 
 
-class Staircase:
-    """The finite set of standard monomials below an m-primary ideal."""
+def _box(dims):
+    """The cells of the box prod(range(d) for d in dims) in lexicographic
+    order, and for each cell the indices of the cells one step below it."""
+    size = math.prod(dims)
+    if size > MAX_BOX_CELLS:
+        raise BudgetExceededError(
+            f"a staircase box of {size} cells exceeds the limit of {MAX_BOX_CELLS}",
+            cells=size, budget=MAX_BOX_CELLS,
+        )
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    cells = list(itertools.product(*[range(d) for d in dims]))
+    return cells, [[i - s for x, s in zip(u, strides) if x] for i, u in enumerate(cells)]
 
-    __slots__ = ("points",)
 
-    def __init__(self, points):
-        self.points = tuple(sorted(points))
-
-    @property
-    def size(self):
-        return len(self.points)
-
-    def __eq__(self, other):
-        return isinstance(other, Staircase) and self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
-
-    def __repr__(self):
-        return f"Staircase(size={self.size})"
+def _corners(cells, below, heights):
+    """The minimal generators of the ideal with these column heights: the
+    (u, h(u)) whose column is lower than every column one step below it.
+    The cells must reach one step past every column of positive height."""
+    gens = []
+    for u, lower, h in zip(cells, below, heights):
+        for j in lower:
+            if heights[j] <= h:
+                break
+        else:
+            gens.append(u + (h,))
+    return gens
 
 
 class MonomialIdeal:
@@ -73,7 +89,7 @@ class MonomialIdeal:
     lexicographic order, so equal ideals compare equal.
     """
 
-    __slots__ = ("n", "gens", "_colength")
+    __slots__ = ("n", "gens", "_colength", "_columns")
 
     def __init__(self, n, gens):
         n = parse_int(n, "dimension")
@@ -92,6 +108,7 @@ class MonomialIdeal:
         self.n = n
         self.gens = tuple(sorted(_antichain(cleaned), reverse=True))
         self._colength = None
+        self._columns = None
 
     # -- structure ----------------------------------------------------
 
@@ -150,37 +167,28 @@ class MonomialIdeal:
     def colength(self):
         """Number of standard monomials, dim_k R/a; requires m-primary."""
         if self._colength is None:
-            if not self.is_primary:
-                raise ValidationError("infinite-colength", "colength is finite only for m-primary ideals")
-            if self.n == 2:
-                self._colength = self._colength2()
-            else:
-                self._colength = sum(1 for _ in self._staircase_iter())
+            self._colength = sum(self._column_heights()[1])
         return self._colength
 
-    def _colength2(self):
-        px = self.pure_degrees()[0]
-        total = 0
-        i = 0
-        asc = sorted(self.gens)
-        min_y = None
-        for x in range(px):
-            while i < len(asc) and asc[i][0] <= x:
-                min_y = asc[i][1] if min_y is None else min(min_y, asc[i][1])
-                i += 1
-            total += min_y
-        return total
-
-    def _staircase_iter(self):
-        box = [range(d) for d in self.pure_degrees()]
-        for u in itertools.product(*box):
-            if not self.contains_exponent(u):
-                yield u
-
     def staircase(self):
-        if not self.is_primary:
-            raise ValidationError("infinite-colength", "staircase is finite only for m-primary ideals")
-        return Staircase(self._staircase_iter())
+        """The standard monomials as a sorted tuple of exponent vectors."""
+        cells, heights = self._column_heights()
+        return tuple(u + (z,) for u, h in zip(cells, heights) for z in range(h))
+
+    def _column_heights(self):
+        """(cells, heights) over the box one step past the first n - 1
+        pure degrees: h(u) is the least last exponent of a generator at
+        or below the cell u."""
+        if self._columns is None:
+            if not self.is_primary:
+                raise ValidationError("infinite-colength", "colength is finite only for m-primary ideals")
+            cells, below = _box([d + 1 for d in self.pure_degrees()[:-1]])
+            tops = {g[:-1]: g[-1] for g in self.gens}
+            heights = []
+            for u, lower in zip(cells, below):
+                heights.append(min([tops.get(u, math.inf)] + [heights[j] for j in lower]))
+            self._columns = (cells, heights)
+        return self._columns
 
     def power(self, m):
         """The m-th power, generated by all m-fold sums of generators."""
@@ -188,9 +196,9 @@ class MonomialIdeal:
             raise ValidationError("invalid-exponent", "power exponent must be a positive integer")
         if m == 1:
             return self
-        sums = set()
-        for combo in itertools.combinations_with_replacement(self.gens, m):
-            sums.add(tuple(sum(c) for c in zip(*combo)))
+        sums = set(self.gens)
+        for _ in range(m - 1):
+            sums = {tuple(a + b for a, b in zip(s, g)) for s in sums for g in self.gens}
         return MonomialIdeal(self.n, sums)
 
     def newton_polyhedron(self):
@@ -257,22 +265,19 @@ class MonomialIdeal:
     def integral_closure(self):
         """Ideal of all lattice points of the Newton polyhedron.
 
-        Same multiplicity, colength no larger.
+        Every facet <a, u> >= c with c > 0 of an m-primary ideal has a
+        positive normal, so the column over u starts at the least z with
+        <a', u> + a_n z >= c on every facet. Same multiplicity, colength
+        no larger.
         """
         if not self.is_primary:
             raise ValidationError("infinite-covolume", "integral closure implemented for m-primary ideals")
-        poly = self.newton_polyhedron()
-        degs = self.pure_degrees()
-        members = set()
-        for u in itertools.product(*[range(d + 1) for d in degs]):
-            if poly.contains(u):
-                members.add(u)
-        minimal = [
-            u
-            for u in members
-            if all(u[i] == 0 or tuple(u[j] - int(j == i) for j in range(self.n)) not in members for i in range(self.n))
+        facets = self.newton_facets()
+        cells, below = _box([d + 1 for d in self.pure_degrees()[:-1]])
+        heights = [
+            max(0, *(math.ceil(Fraction(c - linalg.dot(a[:-1], u), a[-1])) for a, c in facets)) for u in cells
         ]
-        return MonomialIdeal(self.n, minimal)
+        return MonomialIdeal(self.n, _corners(cells, below, heights))
 
 
 def maximal_ideal(n):
@@ -283,16 +288,16 @@ def maximal_power(n, k):
     """m^k, generated by all exponents of total degree k."""
     if k < 1:
         raise ValidationError("invalid-exponent", "power must be positive")
-    gens = [u for u in itertools.product(range(k + 1), repeat=n) if sum(u) == k]
-    return MonomialIdeal(n, gens)
+    return valuation_ideal((1,) * n, k)
 
 
 def valuation_ideal(weights, k):
     """The ideal of monomials of weighted order at least k.
 
     For positive rational weights w this is the valuation ideal
-    a_k(v_w) = ({x^u : <w, u> >= k}); its minimal generators are found
-    by a bounded search up to the pure-power box.
+    a_k(v_w) = ({x^u : <w, u> >= k}). Its column over u has height
+    max(0, ceil((k - <w', u>) / w_n)), where w' holds the first n - 1
+    weights; the columns vanish once some u_i reaches ceil(k / w_i).
     """
     w = [parse_rational(x) for x in weights]
     if any(x <= 0 for x in w):
@@ -300,33 +305,20 @@ def valuation_ideal(weights, k):
     k = parse_rational(k)
     if k <= 0:
         raise ValidationError("invalid-weight", "threshold k must be positive")
-    n = len(w)
-    bounds = [math.ceil(k / wi) for wi in w]
-    if n == 2:
-        gens = []
-        for x in range(bounds[0] + 1):
-            rem = k - w[0] * x
-            y = max(0, math.ceil(rem / w[1]))
-            gens.append((x, y))
-            if y == 0:
-                break
-        return MonomialIdeal(2, gens)
-    gens = []
-    for u in itertools.product(*[range(b + 1) for b in bounds]):
-        if linalg.dot(w, u) < k:
-            continue
-        if all(u[i] == 0 or linalg.dot(w, tuple(u[j] - int(j == i) for j in range(n))) < k for i in range(n)):
-            gens.append(u)
-    return MonomialIdeal(n, gens)
+    cells, below = _box([math.ceil(k / wi) + 1 for wi in w[:-1]])
+    heights = [max(0, math.ceil((k - linalg.dot(w[:-1], u)) / w[-1])) for u in cells]
+    return MonomialIdeal(len(w), _corners(cells, below, heights))
 
 
 def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None):
     """Yield every monomial ideal with m^k <= a <= m and colength >= min_colength.
 
-    Each ideal appears exactly once, as the downward-closed staircase it
-    cuts out of the truncated box, in lexicographic order of the
-    staircase profile. ``contain_power`` = j further restricts to
-    a <= m^j. Refuses (rather than truncates) when k exceeds the
+    Each ideal appears exactly once, as the column heights it sets over
+    the cells |u| <= k - 1 of the first n - 1 exponents, in
+    lexicographic order of those heights (cells in lexicographic order).
+    Each height runs upward from its floor to the least of k - |u| and
+    the heights one step below. ``contain_power`` = j further restricts
+    to a <= m^j. Refuses (rather than truncates) when k exceeds the
     configured budget.
     """
     budgets = dict(ENUM_BUDGETS) if budgets is None else budgets
@@ -341,79 +333,29 @@ def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None)
             n=n, k=k, budget=budget,
         )
     floor_j = contain_power if contain_power is not None else 0
-    if n == 2:
-        yield from _enumerate_2d(k, min_colength, floor_j)
-    else:
-        yield from _enumerate_3d(k, min_colength, floor_j)
+    # cells with |u| >= k keep height 0; they let the corner reader see
+    # the generators with last exponent 0
+    cells, below = _box([k + 1] * (n - 1))
+    free = [
+        (i, max(0 if any(u) else 1, floor_j - sum(u)), k - sum(u), below[i])
+        for i, u in enumerate(cells)
+        if sum(u) < k
+    ]
+    heights = [0] * len(cells)
 
-
-def _profile_ideal_2d(profile, k):
-    c = list(profile) + [0]
-    gens = [(0, c[0])]
-    for x in range(1, k + 1):
-        if c[x] < c[x - 1]:
-            gens.append((x, c[x]))
-    ideal = MonomialIdeal(2, gens)
-    ideal._colength = sum(profile)
-    return ideal
-
-
-def _enumerate_2d(k, min_colength, floor_j):
-    profile = [0] * k
-
-    def rec(x, prev):
-        if x == k:
-            if sum(profile) >= min_colength:
-                yield _profile_ideal_2d(tuple(profile), k)
+    def rec(depth, total):
+        if depth == len(free):
+            if total >= min_colength:
+                ideal = MonomialIdeal(n, _corners(cells, below, heights))
+                ideal._colength = total
+                yield ideal
             return
-        lo = max(0 if x > 0 else 1, floor_j - x)
-        hi = min(prev, k - x)
-        for c in range(lo, hi + 1):
-            profile[x] = c
-            yield from rec(x + 1, c)
-            profile[x] = 0
-
-    yield from rec(0, k)
-
-
-def _enumerate_3d(k, min_colength, floor_j):
-    cells = sorted((x, y) for x in range(k) for y in range(k) if x + y <= k - 1)
-    heights = {}
-
-    def staircase_points():
-        return [(x, y, z) for (x, y), h in heights.items() for z in range(h)]
-
-    def gens_from_heights():
-        pts = set(staircase_points())
-        gens = []
-        for u in itertools.product(range(k + 1), repeat=3):
-            if u in pts:
-                continue
-            if all(u[i] == 0 or tuple(u[j] - int(j == i) for j in range(3)) in pts for i in range(3)):
-                gens.append(u)
-        ideal = MonomialIdeal(3, gens)
-        ideal._colength = len(pts)
-        return ideal
-
-    def rec(i):
-        if i == len(cells):
-            if sum(heights.values()) >= min_colength:
-                yield gens_from_heights()
-            return
-        x, y = cells[i]
-        top = k - x - y
-        if x > 0:
-            top = min(top, heights[(x - 1, y)])
-        if y > 0:
-            top = min(top, heights[(x, y - 1)])
-        lo = max(0, floor_j - x - y)
-        if (x, y) == (0, 0):
-            lo = max(lo, 1)
-        if lo > top:
-            return
+        i, lo, top, lower = free[depth]
+        for j in lower:
+            if heights[j] < top:
+                top = heights[j]
         for c in range(lo, top + 1):
-            heights[(x, y)] = c
-            yield from rec(i + 1)
-        del heights[(x, y)]
+            heights[i] = c
+            yield from rec(depth + 1, total + c)
 
-    yield from rec(0)
+    yield from rec(0, 0)

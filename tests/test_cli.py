@@ -145,6 +145,13 @@ class TestCommands:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["result"]["value"] == "4"
 
+    @pytest.mark.parametrize("target", ["directory", "missing/report.json"])
+    def test_unwritable_out_rejected(self, capsys, x2y3, workdir, target):
+        (workdir / "directory").mkdir()
+        code, out, err = run(capsys, "mult", "--ideal", x2y3, "--out", str(workdir / target))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "unwritable-file"
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys, an2):
@@ -183,6 +190,15 @@ class TestErrorPaths:
         assert time.perf_counter() - started < 10
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "enumeration-budget-exceeded"
+
+    def test_huge_exponent_colength_refused_promptly(self, capsys, workdir):
+        ideal = write(workdir / "huge.json", {"n": 2, "gens": [[100000000, 0], [0, 1]]})
+        started = time.perf_counter()
+        code, out, err = run(capsys, "colength", "--ideal", ideal)
+        assert time.perf_counter() - started < 1
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "enumeration-budget-exceeded" and error["budget"] == monomials.MAX_BOX_CELLS
 
     def test_non_convergence(self, capsys, workdir, monkeypatch):
         # the blow-up cone has an irrational minimizer, so only a settled

@@ -260,7 +260,7 @@ class TestNormalizedColength:
         # staircases ((0,0),(0,1),(0,2),...) < ((0,0),(0,1),(1,0),...)
         tall = M.MonomialIdeal(2, [(2, 0), (0, 3)])
         wide = M.MonomialIdeal(2, [(3, 0), (0, 2)])
-        assert tall.staircase().points < wide.staircase().points
+        assert tall.staircase() < wide.staircase()
         for order in ([tall, wide], [wide, tall]):
             assert I._argmin(order, lambda ideal: F(6)) == (F(6), tall, 2)
         assert I._argmin([tall, wide], lambda ideal: ideal.pure_degrees()[1]) == (2, wide, 2)

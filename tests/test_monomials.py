@@ -30,6 +30,43 @@ def count_order_ideals(k):
     return sum(rec(1, c0) for c0 in range(1, k + 1))
 
 
+def reference_enumeration(n, k, min_colength=1, contain_power=0):
+    """(gens, colength) of every ideal m^k <= a <= m, by the column-height
+    recursion over the cells |u| <= k - 1, with the generators found by
+    scanning the whole (k + 1)^n box for minimal points outside the
+    staircase."""
+    cells = [u for u in itertools.product(range(k), repeat=n - 1) if sum(u) <= k - 1]
+    heights = {}
+
+    def gens_from_heights():
+        pts = {u + (z,) for u, h in heights.items() for z in range(h)}
+        gens = []
+        for u in itertools.product(range(k + 1), repeat=n):
+            if u in pts:
+                continue
+            if all(u[i] == 0 or tuple(u[j] - int(j == i) for j in range(n)) in pts for i in range(n)):
+                gens.append(u)
+        return tuple(sorted(gens, reverse=True)), len(pts)
+
+    def rec(i):
+        if i == len(cells):
+            if sum(heights.values()) >= min_colength:
+                yield gens_from_heights()
+            return
+        u = cells[i]
+        top = k - sum(u)
+        for j in range(n - 1):
+            if u[j] > 0:
+                top = min(top, heights[u[:j] + (u[j] - 1,) + u[j + 1 :]])
+        lo = max(0 if any(u) else 1, contain_power - sum(u))
+        for c in range(lo, top + 1):
+            heights[u] = c
+            yield from rec(i + 1)
+        heights.pop(u, None)
+
+    yield from rec(0)
+
+
 class TestColength:
     def test_maximal_ideal(self):
         assert M.maximal_ideal(2).colength() == 1
@@ -43,7 +80,7 @@ class TestColength:
     def test_three_generator_example(self):
         ideal = M.MonomialIdeal(2, [(2, 0), (1, 2), (0, 4)])
         assert ideal.colength() == 6
-        assert ideal.staircase().points == (
+        assert ideal.staircase() == (
             (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1),
         )
 
@@ -259,7 +296,7 @@ class TestValuationIdeal:
 class TestEnumeration:
     def test_k2_staircases(self):
         ideals = list(M.enumerate_staircases(2, 2))
-        staircases = sorted(i.staircase().points for i in ideals)
+        staircases = sorted(i.staircase() for i in ideals)
         assert staircases == [
             ((0, 0),),
             ((0, 0), (0, 1)),
@@ -311,6 +348,16 @@ class TestEnumeration:
         for ideal in M.enumerate_staircases(3, 3):
             assert ideal.is_primary
             assert M.maximal_power(3, 3) <= ideal
+
+    @pytest.mark.parametrize(
+        "n,k,options",
+        [(2, 6, {}), (3, 3, {}), (2, 6, {"contain_power": 3}), (3, 3, {"min_colength": 5})],
+    )
+    def test_sequence_matches_box_scan_reference(self, n, k, options):
+        # the enumeration order is part of the contract: lexicographic in
+        # the column heights
+        yielded = [(ideal.gens, ideal.colength()) for ideal in M.enumerate_staircases(n, k, **options)]
+        assert yielded == list(reference_enumeration(n, k, **options))
 
     def test_cached_colength_correct(self):
         for ideal in M.enumerate_staircases(2, 5):

@@ -1,9 +1,11 @@
-"""Property tests of the lct engine on random ideals and boundaries.
+"""Property tests of the lct engine on random ideals and boundaries, and
+of the column-height staircase kernel against box-scan oracles.
 
 Hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic.
 """
 
+import itertools
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hatvol import linalg
 from hatvol import models as MD
 from hatvol import monomials as M
 from hatvol import simplex
+from test_monomials import brute_colength
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -53,3 +56,66 @@ def test_lct_monotone_under_inclusion(case):
     model, ideal, (extra,) = case
     larger = M.MonomialIdeal(model.n, list(ideal.gens) + [extra])
     assert I.lct(model, larger).value >= I.lct(model, ideal).value
+
+
+@st.composite
+def primary_ideals(draw):
+    """An m-primary monomial ideal in 1 to 4 variables with small exponents."""
+    n = draw(st.integers(1, 4))
+    # lower pure degrees in four variables keep the Newton facets of
+    # closures and powers quick to build
+    degrees = draw(st.tuples(*[st.integers(1, 4 if n < 4 else 3)] * n))
+    pure = [tuple(d * (i == j) for j in range(n)) for i, d in enumerate(degrees)]
+    mixed = draw(st.lists(st.tuples(*[st.integers(0, d) for d in degrees]).filter(any), max_size=5))
+    return M.MonomialIdeal(n, pure + mixed)
+
+
+def minimal_points(n, members):
+    """The minimal elements of an up-closed set of box points."""
+    return tuple(
+        sorted(
+            (u for u in members if all(u[i] == 0 or u[:i] + (u[i] - 1,) + u[i + 1 :] not in members for i in range(n))),
+            reverse=True,
+        )
+    )
+
+
+@PROPERTY_SETTINGS
+@given(primary_ideals())
+def test_colength_and_staircase_match_the_box(ideal):
+    box = itertools.product(*[range(d) for d in ideal.pure_degrees()])
+    assert ideal.colength() == brute_colength(ideal)
+    assert ideal.staircase() == tuple(u for u in box if not ideal.contains_exponent(u))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.lists(st.fractions(F(1, 3), 4, max_denominator=3), min_size=n, max_size=n)),
+    st.fractions(F(1, 2), 6, max_denominator=2),
+)
+def test_valuation_ideal_matches_the_box(weights, k):
+    n = len(weights)
+    box = itertools.product(*[range(int(k / w) + 2) for w in weights])
+    members = {u for u in box if linalg.dot(weights, u) >= k}
+    assert M.valuation_ideal(weights, k).gens == minimal_points(n, members)
+
+
+@PROPERTY_SETTINGS
+@given(primary_ideals())
+def test_integral_closure_matches_the_box(ideal):
+    poly = ideal.newton_polyhedron()
+    box = itertools.product(*[range(d + 1) for d in ideal.pure_degrees()])
+    closed = ideal.integral_closure()
+    assert closed.gens == minimal_points(ideal.n, {u for u in box if poly.contains(u)})
+    assert closed.multiplicity() == ideal.multiplicity()
+    assert closed.colength() <= ideal.colength()
+
+
+@PROPERTY_SETTINGS
+@given(primary_ideals(), st.sampled_from([2, 3]))
+def test_multiplicity_of_powers(ideal, m):
+    if ideal.n == 4:
+        # the Newton facets of a cube in four variables take about half a
+        # second per ideal
+        m = 2
+    assert ideal.power(m).multiplicity() == m**ideal.n * ideal.multiplicity()
