@@ -9,6 +9,8 @@ with a pinned tolerance. The fast suite runs reduced sizes of the same
 checks; the full suite runs the stated ones.
 """
 
+import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -329,6 +331,83 @@ def criterion_q_bound(fast=False):
     return True, "4 <= 4, 27 <= 27, 16 <= 27 exact", "exact", ""
 
 
+@functools.lru_cache(maxsize=None)
+def _minor_plan(dim):
+    """How the minors of dim - 1 rows build up, row by row. The 1-minors
+    are the first row; level t >= 2 lists, for each t-set of columns in
+    combinations order, the terms (sign, column, index of a (t-1)-minor)
+    of its expansion along row t. The last entry gives, for each column
+    j, the sign and index of the minor without it."""
+    levels = []
+    index = {(j,): j for j in range(dim)}
+    for t in range(2, dim):
+        subsets = list(itertools.combinations(range(dim), t))
+        levels.append(tuple(
+            tuple(((-1) ** (t - 1 - p), j, index[cols[:p] + cols[p + 1:]]) for p, j in enumerate(cols))
+            for cols in subsets
+        ))
+        index = {cols: i for i, cols in enumerate(subsets)}
+    final = tuple(((-1) ** j, index[tuple(i for i in range(dim) if i != j)]) for j in range(dim))
+    return levels, final
+
+
+def _kernel_vector(rows, dim):
+    """Signed maximal minors of dim - 1 integer rows: coordinate j is
+    (-1)^j times the minor without column j. The vector is orthogonal to
+    every row, and zero exactly when the rows are dependent."""
+    levels, final = _minor_plan(dim)
+    minors = rows[0]
+    for row, level in zip(rows[1:], levels):
+        minors = [sum(s * row[j] * minors[k] for s, j, k in terms) for terms in level]
+    return tuple(s * minors[k] for s, k in final)
+
+
+def _extreme_rays_by_subsets(normals, dim):
+    """The oracle for `geometry._extreme_rays`, by brute force: every ray
+    of the pointed cone {y : <a, y> >= 0 for every row a} spans the
+    kernel of dim - 1 of the rows, so try the kernel vector of every
+    (dim - 1)-subset, in both directions, against every row."""
+    if dim == 1:
+        return sorted(c for c in ((1,), (-1,)) if all(a[0] * c[0] >= 0 for a in normals))
+    found = set()
+    for subset in itertools.combinations(normals, dim - 1):
+        kernel = _kernel_vector(subset, dim)
+        if not any(kernel):
+            continue
+        ray = linalg.primitive(kernel)
+        for cand in (ray, tuple(-x for x in ray)):
+            if cand not in found and all(linalg.dot(n, cand) >= 0 for n in normals):
+                found.add(cand)
+    return sorted(found)
+
+
+def newton_normals(ideal):
+    """The rows whose dual cone gives the Newton polyhedron's facets: each
+    generator g homogenized to (g, 1), each coordinate ray e_i to (e_i, 0)."""
+    n = ideal.n
+    return [g + (1,) for g in ideal.gens] + [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+
+
+def kernel_oracle_corpus(fast=False):
+    """The ideals whose Newton polyhedra check the facet kernel: every
+    ideal of `enumerate_staircases(3, 4)`, or every 20th in the fast suite."""
+    return itertools.islice(monomials.enumerate_staircases(3, 4), 0, None, 20 if fast else 1)
+
+
+def _check_facet_kernel(ideal):
+    """Double description against the subset oracle on one Newton polyhedron."""
+    normals = newton_normals(ideal)
+    dim = ideal.n + 1
+    got = geometry._extreme_rays(normals, dim)
+    expected = _extreme_rays_by_subsets(normals, dim)
+    if got != expected:
+        raise InvariantViolationError(
+            "facet-kernel-disagreement",
+            f"double description gave {got}, the subset oracle gave {expected}",
+            gens=[list(g) for g in ideal.gens],
+        )
+
+
 # Exhaustive corpora (n, k, boundary) on which lct meets the simplex
 # oracle; the fast suite runs the boundary-free n = 2 corpus at k = 6.
 LCT_ORACLE_CORPORA = (
@@ -371,8 +450,12 @@ def _check_lct_against_lp(model, ideal):
 
 
 def criterion_cross_validation(fast=False):
-    """Independent paths agree: thresholds, multiplicities, scaling."""
+    """Independent paths agree: facet kernels, thresholds, multiplicities, scaling."""
     rng = random.Random(SEED + 1)
+    kernels = 0
+    for ideal in kernel_oracle_corpus(fast):
+        kernels += 1
+        _check_facet_kernel(ideal)
     corpus = 0
     for n, k, coeffs in LCT_ORACLE_CORPORA_FAST if fast else LCT_ORACLE_CORPORA:
         model = MonomialPair(n, coeffs)
@@ -411,6 +494,7 @@ def criterion_cross_validation(fast=False):
             return False, "volume scaling failed", "exact", ""
     return (
         True,
+        f"{kernels} facet-kernel checks against subset enumeration, "
         f"{corpus} threshold cross-checks against the LP, {vertex_checks} against vertex enumeration, "
         f"worst limit deviation {float(worst):.3f}, {cases} scaling cases",
         "exact / within 5%",

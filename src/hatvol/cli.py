@@ -38,6 +38,9 @@ class Settings:
 
 _SETTING_TYPES = {f.name: f.type for f in fields(Settings)}
 
+# most dilations one `lattice --k-range` may ask for
+MAX_DILATIONS = 1000
+
 
 def _read_text(path, kind):
     """The UTF-8 text of an input file; an unreadable one is a validation error."""
@@ -126,6 +129,8 @@ def _load_body(path):
 
 
 def _parse_k_range(text):
+    """The dilations of a k-range, refused past MAX_DILATIONS before any
+    list of them is built."""
     try:
         if ":" in text:
             parts = text.split(":")
@@ -133,8 +138,13 @@ def _parse_k_range(text):
                 raise ValidationError("invalid-range", f"bad k-range {text!r}")
             lo, hi = int(parts[0]), int(parts[1])
             step = int(parts[2]) if len(parts) == 3 else 1
-            return list(range(lo, hi + 1, step))
-        return [int(x) for x in text.split(",") if x.strip()]
+            ks = range(lo, hi + 1, step)
+        else:
+            ks = [x for x in text.split(",") if x.strip()]
+        # slicing a range is arithmetic, and its length here stays small
+        if len(ks[: MAX_DILATIONS + 1]) > MAX_DILATIONS:
+            raise ValidationError("invalid-range", f"k-range has more than {MAX_DILATIONS} dilations")
+        return [int(x) for x in ks]
     except ValueError as exc:
         raise ValidationError("invalid-range", f"bad k-range {text!r}") from exc
 

@@ -2,27 +2,30 @@
 
 Convex bodies are stored by their vertices. Every facet system (of a
 hull, of a polyhedron with recession rays, of a cone) comes from one
-kernel, `_extreme_rays`, which enumerates the extreme rays of a dual
-cone over all small generator subsets; for hulls and polyhedra the
-cone is the homogenization one dimension higher. Its generators are
-integer vectors, and the candidate ray of each subset is the vector of
-its signed integer maximal minors. That is entirely adequate at desk
-scale. Every other computation here (hulls, duals, volumes, lattice
-counts, the counting and Riemann-sum probes) runs over
-`fractions.Fraction`; no floating point enters this module.
+kernel, `_extreme_rays`, which finds the extreme rays of a dual cone by
+double description over integer normals: a simplicial start from
+independent rows, one cut per further row, adjacency read off zero sets
+held as bitmasks. For hulls and polyhedra the cone is the
+homogenization one dimension higher. Every other computation here
+(hulls, duals, volumes, lattice counts, the counting and Riemann-sum
+probes) runs over `fractions.Fraction`; no floating point enters this
+module.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import InvariantViolationError, ValidationError
+from .errors import BudgetExceededError, InvariantViolationError, ValidationError
 from .rationals import parse_int
 
 MAX_DIM = 4
+
+# largest box of prefix cells one lattice count scans; larger dilated
+# boxes are refused
+MAX_LATTICE_CELLS = 10**6
 
 
 def _as_point(p):
@@ -368,6 +371,12 @@ def lattice_points(body, k):
         lo, hi = body.coordinate_range(axis)
         bounds.append((math.ceil(k * lo), math.floor(k * hi)))
     prefix_ranges = [range(lo, hi + 1) for lo, hi in bounds[:-1]]
+    cells = math.prod(len(r) for r in prefix_ranges)
+    if cells > MAX_LATTICE_CELLS:
+        raise BudgetExceededError(
+            f"a dilated box of {cells} cells exceeds the limit of {MAX_LATTICE_CELLS}",
+            cells=cells, budget=MAX_LATTICE_CELLS,
+        )
     lo_last, hi_last = bounds[-1]
     count = 0
     for prefix in itertools.product(*prefix_ranges):
@@ -570,56 +579,109 @@ class Cone:
         return f"Cone(rays={list(self.rays)})"
 
 
-@functools.lru_cache(maxsize=None)
-def _minor_plan(dim):
-    """How the minors of dim - 1 rows build up, row by row. The 1-minors
-    are the first row; level t >= 2 lists, for each t-set of columns in
-    combinations order, the terms (sign, column, index of a (t-1)-minor)
-    of its expansion along row t. The last entry gives, for each column
-    j, the sign and index of the minor without it."""
-    levels = []
-    index = {(j,): j for j in range(dim)}
-    for t in range(2, dim):
-        subsets = list(itertools.combinations(range(dim), t))
-        levels.append(tuple(
-            tuple(((-1) ** (t - 1 - p), j, index[cols[:p] + cols[p + 1:]]) for p, j in enumerate(cols))
-            for cols in subsets
-        ))
-        index = {cols: i for i, cols in enumerate(subsets)}
-    final = tuple(((-1) ** j, index[tuple(i for i in range(dim) if i != j)]) for j in range(dim))
-    return levels, final
+def _simplicial_start(rows, dim):
+    """The first dim linearly independent rows, found by fraction-free
+    Gauss-Jordan elimination, with the extreme rays of the simplicial
+    cone they cut out: ray i pairs positively with chosen row i and
+    vanishes on the others. None when the rows have rank below dim.
 
-
-def _kernel_vector(rows, dim):
-    """Signed maximal minors of dim - 1 integer rows: coordinate j is
-    (-1)^j times the minor without column j. The vector is orthogonal to
-    every row, and zero exactly when the rows are dependent."""
-    levels, final = _minor_plan(dim)
-    minors = rows[0]
-    for row, level in zip(rows[1:], levels):
-        minors = [sum(s * row[j] * minors[k] for s, j, k in terms) for terms in level]
-    return tuple(s * minors[k] for s, k in final)
+    Each reduced row r is kept with its combination c of the chosen rows
+    (r = sum c_j row_j) and both are divided by their common gcd. Once
+    every reduced row is p_j e_(col_j), ray i has coordinate c_j[i] / p_j
+    at col_j, scaled here by the positive lcm of the pivots.
+    """
+    basis = []  # [pivot column, reduced row, combination]
+    chosen = []
+    for index, row in enumerate(rows):
+        r = list(row)
+        c = [0] * dim
+        c[len(chosen)] = 1
+        for col, b, bc in basis:
+            x = r[col]
+            if x:
+                p = b[col]
+                r = [p * u - x * v for u, v in zip(r, b)]
+                c = [p * u - x * v for u, v in zip(c, bc)]
+        col = next((j for j, x in enumerate(r) if x), None)
+        if col is None:
+            continue
+        g = math.gcd(*r, *c)
+        r = [u // g for u in r]
+        c = [u // g for u in c]
+        for entry in basis:
+            _, b, bc = entry
+            x = b[col]
+            if x:
+                p = r[col]
+                b = [p * u - x * v for u, v in zip(b, r)]
+                bc = [p * u - x * v for u, v in zip(bc, c)]
+                g = math.gcd(*b, *bc)
+                entry[1] = [u // g for u in b]
+                entry[2] = [u // g for u in bc]
+        basis.append([col, r, c])
+        chosen.append(index)
+        if len(chosen) == dim:
+            break
+    else:
+        return None
+    lcm = math.lcm(*(abs(b[col]) for col, b, _ in basis))
+    rays = []
+    for i in range(dim):
+        ray = [0] * dim
+        for col, b, bc in basis:
+            ray[col] = bc[i] * (lcm // b[col])
+        rays.append(linalg.primitive(ray))
+    return chosen, rays
 
 
 def _extreme_rays(normals, dim):
-    """Extreme rays of {y : <n, y> >= 0 for all n} over integer normals,
-    assuming full row rank, as sorted primitive integer vectors."""
-    if dim == 1:
-        out = []
-        for cand in ((1,), (-1,)):
-            if all(linalg.dot(n, cand) >= 0 for n in normals):
-                out.append(cand)
-        return sorted(out)
-    found = set()
-    for subset in itertools.combinations(normals, dim - 1):
-        kernel = _kernel_vector(subset, dim)
-        if not any(kernel):
+    """Extreme rays of the cone {y : <a, y> >= 0 for every row a} over
+    integer rows a of full rank dim, as sorted primitive integer vectors.
+
+    The cone is pointed; it may be lower-dimensional or {0}, which has
+    no rays. Double description (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon 1996): start from the simplicial cone of dim
+    independent rows and cut by the other rows one at a time. A cut
+    keeps the rays on its + and 0 sides and replaces each adjacent pair
+    p, q on opposite sides by <a, p> q - <a, q> p, which lies on the
+    hyperplane. Each ray carries its zero set over the rows cut so far
+    as a bitmask; p and q are adjacent exactly when their common zeros
+    number at least dim - 2 and lie in the zero set of no third ray.
+    Everything stays in integers.
+    """
+    rows = [tuple(a) for a in normals]
+    start = _simplicial_start(rows, dim)
+    if start is None:
+        raise InvariantViolationError("rank-deficient", "facet kernel needs normals of full rank")
+    chosen, rays = start
+    everywhere = sum(1 << i for i in chosen)
+    zeros = [everywhere & ~(1 << i) for i in chosen]
+    for index, a in enumerate(rows):
+        if index in chosen:
             continue
-        ray = linalg.primitive(kernel)
-        for cand in (ray, tuple(-x for x in ray)):
-            if cand not in found and all(linalg.dot(n, cand) >= 0 for n in normals):
-                found.add(cand)
-    return sorted(found)
+        bit = 1 << index
+        values = [sum(x * y for x, y in zip(a, ray)) for ray in rays]
+        kept_rays, kept_zeros, plus, minus = [], [], [], []
+        for i, value in enumerate(values):
+            if value < 0:
+                minus.append(i)
+                continue
+            if value > 0:
+                plus.append(i)
+            kept_rays.append(rays[i])
+            kept_zeros.append(zeros[i] if value else zeros[i] | bit)
+        for i in plus:
+            for j in minus:
+                common = zeros[i] & zeros[j]
+                if common.bit_count() < dim - 2 or any(
+                    z & common == common for k, z in enumerate(zeros) if k != i and k != j
+                ):
+                    continue
+                vi, vj = values[i], values[j]
+                kept_rays.append(linalg.primitive([vi * y - vj * x for x, y in zip(rays[i], rays[j])]))
+                kept_zeros.append(common | bit)
+        rays, zeros = kept_rays, kept_zeros
+    return sorted(rays)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class MonomialIdeal:
     lexicographic order, so equal ideals compare equal.
     """
 
-    __slots__ = ("n", "gens", "_colength", "_columns")
+    __slots__ = ("n", "gens", "_colength", "_columns", "_facets")
 
     def __init__(self, n, gens):
         n = parse_int(n, "dimension")
@@ -105,10 +105,23 @@ class MonomialIdeal:
             cleaned.append(g)
         if not cleaned:
             raise ValidationError("empty-input", "a monomial ideal needs at least one generator")
+        self._set(n, tuple(sorted(_antichain(cleaned), reverse=True)))
+
+    def _set(self, n, gens):
         self.n = n
-        self.gens = tuple(sorted(_antichain(cleaned), reverse=True))
+        self.gens = gens
         self._colength = None
         self._columns = None
+        self._facets = None
+
+    @classmethod
+    def _from_corners(cls, n, gens):
+        """The ideal with the generators `_corners` returns: already a
+        lexicographically sorted antichain of int tuples, so they are only
+        put in descending order, without parsing or reduction."""
+        ideal = cls.__new__(cls)
+        ideal._set(n, tuple(reversed(gens)))
+        return ideal
 
     # -- structure ----------------------------------------------------
 
@@ -229,8 +242,14 @@ class MonomialIdeal:
 
         For n = 2 they are read off the lower hull, plus an axis-parallel
         facet on each axis that lacks a pure power; otherwise they are
-        filtered from :meth:`newton_polyhedron`.
+        filtered from :meth:`newton_polyhedron`. Computed once per ideal,
+        as a tuple.
         """
+        if self._facets is None:
+            self._facets = tuple(self._newton_facets())
+        return self._facets
+
+    def _newton_facets(self):
         if self.n != 2:
             return [(normal, c) for normal, c in self.newton_polyhedron().facets if c > 0]
         hull = self.lower_hull()
@@ -277,7 +296,7 @@ class MonomialIdeal:
         heights = [
             max(0, *(math.ceil(Fraction(c - linalg.dot(a[:-1], u), a[-1])) for a, c in facets)) for u in cells
         ]
-        return MonomialIdeal(self.n, _corners(cells, below, heights))
+        return MonomialIdeal._from_corners(self.n, _corners(cells, below, heights))
 
 
 def maximal_ideal(n):
@@ -307,7 +326,7 @@ def valuation_ideal(weights, k):
         raise ValidationError("invalid-weight", "threshold k must be positive")
     cells, below = _box([math.ceil(k / wi) + 1 for wi in w[:-1]])
     heights = [max(0, math.ceil((k - linalg.dot(w[:-1], u)) / w[-1])) for u in cells]
-    return MonomialIdeal(len(w), _corners(cells, below, heights))
+    return MonomialIdeal._from_corners(len(w), _corners(cells, below, heights))
 
 
 def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None):
@@ -346,7 +365,7 @@ def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None)
     def rec(depth, total):
         if depth == len(free):
             if total >= min_colength:
-                ideal = MonomialIdeal(n, _corners(cells, below, heights))
+                ideal = MonomialIdeal._from_corners(n, _corners(cells, below, heights))
                 ideal._colength = total
                 yield ideal
             return

@@ -9,6 +9,7 @@ import pytest
 
 import hatvol
 from hatvol import acceptance
+from hatvol import geometry
 from hatvol import invariants
 from hatvol import monomials
 from hatvol.cli import main
@@ -263,6 +264,20 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-range"
 
+    @pytest.mark.parametrize("k_range", ["1:10000000000", "1:" + "9" * 40, "1:1001", ",".join(["5"] * 1001)])
+    def test_k_range_over_the_dilation_cap_refused(self, capsys, workdir, k_range):
+        # refused from the range's length alone, before any list is built
+        body = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
+        code, out, err = run(capsys, "lattice", "--body", body, "--k-range", k_range)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-range"
+
+    def test_dilated_box_over_the_cell_cap_refused(self, capsys, workdir):
+        body = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
+        code, out, err = run(capsys, "lattice", "--body", body, "--k-range", "5,10000000")
+        assert code == 3 and out == ""
+        assert json.loads(err)["cells"] == 10000001
+
     def test_csv_unsupported(self, capsys, an2):
         code, _, err = run(capsys, "hvol", "--model", an2, "--format", "csv")
         assert code == 2
@@ -480,3 +495,19 @@ class TestVerify:
         cross = next(r for r in results if r.name == "engine-cross-validation")
         assert cross.hard_failure and not cross.passed
         assert "Newton facets gave" in cross.measured
+
+    def test_tampered_facet_kernel_trips_exit_four(self, monkeypatch):
+        # one dropped ray on one Newton polyhedron must trip the subset oracle hard
+        true_kernel = geometry._extreme_rays
+        target = acceptance.newton_normals(next(acceptance.kernel_oracle_corpus(fast=True)))
+
+        def tampered(normals, dim):
+            rays = true_kernel(normals, dim)
+            return rays[:-1] if [tuple(a) for a in normals] == target else rays
+
+        monkeypatch.setattr(geometry, "_extreme_rays", tampered)
+        results = acceptance.run_suite("fast")
+        assert acceptance.suite_exit_code(results) == 4
+        cross = next(r for r in results if r.name == "engine-cross-validation")
+        assert cross.hard_failure and not cross.passed
+        assert "the subset oracle gave" in cross.measured

@@ -3,9 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hatvol import geometry as G
-from hatvol.errors import ValidationError
+from hatvol import linalg
+from hatvol import monomials as M
+from hatvol.acceptance import _extreme_rays_by_subsets, newton_normals
+from hatvol.errors import BudgetExceededError, InvariantViolationError, ValidationError
 
 
 def unit_square():
@@ -165,6 +170,12 @@ class TestLatticePoints:
     def test_segment(self):
         assert G.convex_hull([(0,), (1,)]).lattice_points(7) == 8
 
+    def test_dilated_box_over_the_cap_refused(self):
+        # the cap is checked on the box size before any cell is visited
+        with pytest.raises(BudgetExceededError) as info:
+            unit_square().lattice_points(G.MAX_LATTICE_CELLS)
+        assert info.value.details == {"cells": G.MAX_LATTICE_CELLS + 1, "budget": G.MAX_LATTICE_CELLS}
+
     def test_triangle_with_fractional_vertices(self):
         body = G.convex_hull([(0, 0), (F(5, 8), F(1, 8)), (F(1, 8), F(7, 8))])
         for k in (3, 8, 11):
@@ -251,3 +262,77 @@ class TestPolyhedron:
             poly = G.Polyhedron(gens, [(1, 0), (0, 1)])
             for point in gens:
                 assert poly.contains(point)
+
+
+def _cone_over(points):
+    return [tuple(v) + (1,) for v in points]
+
+
+CUBE = list(itertools.product((-1, 1), repeat=3))
+OCTAHEDRON = [tuple(s * int(i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+# a centrally symmetric lattice 12-gon around the origin
+DODECAGON = [(-2, -3), (-1, -3), (1, -2), (2, -1), (3, 1), (3, 2), (2, 3), (1, 3), (-1, 2), (-2, 1), (-3, -1), (-3, -2)]
+
+
+@st.composite
+def full_rank_normals(draw):
+    """Integer rows of full rank d in 2..5, some of them repeated or negated:
+    duplicate rows, {0} duals and lower-dimensional duals all occur."""
+    d = draw(st.integers(2, 5))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(*[entry] * d), min_size=d, max_size=d + 3))
+    for op, i in draw(st.lists(st.tuples(st.sampled_from("dn"), st.integers(0, len(rows) - 1)), max_size=2)):
+        rows.append(rows[i] if op == "d" else tuple(-x for x in rows[i]))
+    assume(linalg.rank(rows) == d)
+    return rows, d
+
+
+class TestFacetKernel:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(full_rank_normals())
+    def test_matches_subset_enumeration(self, case):
+        rows, d = case
+        assert G._extreme_rays(rows, d) == _extreme_rays_by_subsets(rows, d)
+
+    @pytest.mark.parametrize(
+        "rows,dim,rays",
+        [
+            ([(1, 0), (-1, 0), (0, 1), (0, -1)], 2, []),
+            ([(1, 0), (0, 1), (-1, 0)], 2, [(0, 1)]),
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (1, 0, 0)], 3, [(0, 1, 0), (1, 0, 0)]),
+            ([(2,), (3,)], 1, [(1,)]),
+            ([(2,), (-3,)], 1, []),
+        ],
+    )
+    def test_degenerate_duals(self, rows, dim, rays):
+        assert G._extreme_rays(rows, dim) == rays == _extreme_rays_by_subsets(rows, dim)
+
+    @pytest.mark.parametrize("polytope,dual_size", [(CUBE, 6), (OCTAHEDRON, 8)])
+    def test_cones_with_non_simple_vertices(self, polytope, dual_size):
+        # the cube and octahedron cones are dual: the extreme rays of one
+        # meet three and four facets of the other
+        rows = _cone_over(polytope)
+        rays = G._extreme_rays(rows, 4)
+        assert len(rays) == dual_size
+        assert rays == _extreme_rays_by_subsets(rows, 4)
+        assert sorted(G._extreme_rays(rays, 4)) == sorted(linalg.primitive(r) for r in rows)
+
+    def test_newton_polyhedron_of_a_diagonal_ideal(self):
+        # (x^2, y^3, z^2): the compact facet 3x + 2y + 3z >= 6, the three
+        # coordinate facets and the trivial inequality 0 <= 1
+        rows = newton_normals(M.MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 2)]))
+        assert G._extreme_rays(rows, 4) == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (3, 2, 3, -6)]
+
+    def test_dodecagon_cone(self):
+        rows = _cone_over(DODECAGON)
+        assert G._extreme_rays(rows, 3) == [
+            (-2, 1, 5), (-1, -1, 5), (-1, 0, 3), (-1, 1, 3), (-1, 2, 5), (0, -1, 3),
+            (0, 1, 3), (1, -2, 5), (1, -1, 3), (1, 0, 3), (1, 1, 5), (2, -1, 5),
+        ]
+        cone = G.Cone(rows)
+        assert len(cone.rays) == 12 and cone.dual().dual() == cone
+
+    def test_rank_deficient_normals_refused(self):
+        with pytest.raises(InvariantViolationError) as info:
+            G._extreme_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)
+        assert info.value.code == "rank-deficient"

@@ -366,6 +366,47 @@ class TestEnumeration:
             assert cached == fresh
 
 
+class TestTrustedConstructor:
+    """Ideals built from corner-read generators skip parsing and reduction;
+    they must equal the ideals the validating constructor builds."""
+
+    @pytest.mark.parametrize(
+        "ideals",
+        [
+            lambda: M.enumerate_staircases(2, 6),
+            lambda: M.enumerate_staircases(3, 3),
+            lambda: [M.valuation_ideal(w, k) for w in [(1, 2), (F(2, 3), 1, F(5, 2))] for k in (1, F(7, 2), 6)],
+            lambda: [M.maximal_power(3, 40)],
+            lambda: [ideal.integral_closure() for ideal in M.enumerate_staircases(3, 3)],
+        ],
+    )
+    def test_same_generators_as_validated_input(self, ideals):
+        for ideal in ideals():
+            assert ideal.gens == M.MonomialIdeal(ideal.n, list(ideal.gens)[::-1]).gens
+
+
+class TestFacetCache:
+    def test_newton_facets_computed_once(self, monkeypatch):
+        from hatvol import invariants as I
+        from hatvol import models as MD
+
+        built = []
+        true_polyhedron = M.MonomialIdeal.newton_polyhedron
+
+        def counted(self):
+            built.append(self.gens)
+            return true_polyhedron(self)
+
+        monkeypatch.setattr(M.MonomialIdeal, "newton_polyhedron", counted)
+        ideal = M.MonomialIdeal(3, [(3, 0, 0), (0, 2, 0), (0, 0, 4), (1, 1, 1)])
+        facets = ideal.newton_facets()
+        assert isinstance(facets, tuple) and ideal.newton_facets() is facets
+        I.lct(MD.MonomialPair(3, (0, 0, 0)), ideal)
+        ideal.multiplicity()
+        ideal.integral_closure()
+        assert built == [ideal.gens]
+
+
 class TestSerialization:
     def test_round_trip(self):
         ideal = M.MonomialIdeal(2, [(2, 0), (1, 2), (0, 4)])
