@@ -150,36 +150,38 @@ def _parse_k_range(text):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (job_echo, result_payload, warnings, csv_rows)
+# command handlers: each returns (result_payload, warnings, csv_rows, stats),
+# with stats None or a payload of work counters
 
 
 def _cmd_hvol(args, settings):
     model = _load_model(args.model)
     result = invariants.hvol(model, tolerance=settings.tol)
-    return result.to_payload(), list(result.warnings), None
+    return result.to_payload(), list(result.warnings), None, None
 
 
 def _cmd_lct(args, settings):
     model = _load_model(args.model)
     ideal = _load_ideal(args.ideal)
-    return invariants.lct(model, ideal).to_payload(), [], None
+    return invariants.lct(model, ideal).to_payload(), [], None, None
 
 
 def _cmd_mult(args, settings):
     ideal = _load_ideal(args.ideal)
     value = ideal.multiplicity()
-    return {"value": format_rational(value), "exact": True}, [], None
+    return {"value": format_rational(value), "exact": True}, [], None, None
 
 
 def _cmd_colength(args, settings):
     ideal = _load_ideal(args.ideal)
-    return {"value": ideal.colength(), "exact": True}, [], None
+    return {"value": ideal.colength(), "exact": True}, [], None, None
 
 
 def _cmd_hatl(args, settings):
     model = _load_model(args.model)
+    stats = invariants.ScanStats()
     value, argmin = invariants.normalized_colength(
-        model, parse_rational(args.c), args.k, mode=args.mode, budgets=settings.budgets()
+        model, parse_rational(args.c), args.k, mode=args.mode, budgets=settings.budgets(), stats=stats
     )
     payload = {
         "value": format_rational(value),
@@ -188,16 +190,17 @@ def _cmd_hatl(args, settings):
         "c": format_rational(parse_rational(args.c)),
         "k": args.k,
     }
-    return payload, [invariants.EQUIVARIANT_WARNING], None
+    return payload, [invariants.EQUIVARIANT_WARNING], None, stats.to_payload()
 
 
 def _cmd_scan(args, settings):
     model = _load_model(args.model)
     c = parse_rational(args.c) if args.c is not None else invariants.default_scan_constant(model.n)
+    stats = invariants.ScanStats()
     scan = invariants.colength_convergence_scan(
-        model, c, range(args.k_min, args.k_max + 1), mode=args.mode, budgets=settings.budgets()
+        model, c, range(args.k_min, args.k_max + 1), mode=args.mode, budgets=settings.budgets(), stats=stats
     )
-    return scan.to_payload(), list(scan.warnings), scan.csv_rows()
+    return scan.to_payload(), list(scan.warnings), scan.csv_rows(), stats.to_payload()
 
 
 def _cmd_lattice(args, settings):
@@ -212,7 +215,7 @@ def _cmd_lattice(args, settings):
     }
     rows = [("k", "error_num", "error_den")]
     rows += [(k, err.numerator, err.denominator) for k, err in probe.rows]
-    return payload, [], rows
+    return payload, [], rows, None
 
 
 def _cmd_cone(args, settings):
@@ -225,7 +228,7 @@ def _cmd_cone(args, settings):
         "m_covector": [format_rational(x) for x in toric.m_covector],
         "degree_bound": format_rational(fano_degree_bound(model)),
     }
-    return payload, [], None
+    return payload, [], None, None
 
 
 def _cmd_qbound(args, settings):
@@ -233,7 +236,7 @@ def _cmd_qbound(args, settings):
     if not isinstance(model, FanoConeInput):
         raise ValidationError("invalid-model", "q-bound check expects a fano_cone model")
     report = invariants.q_bound_check(model, args.q)
-    return report.to_payload(), [], None
+    return report.to_payload(), [], None, None
 
 
 def _cmd_verify(args):
@@ -338,7 +341,7 @@ def main(argv=None):
         settings = resolve_settings(args)
         handler = _HANDLERS[args.command]
         started = time.perf_counter()
-        payload, warnings, csv_rows = handler(args, settings)
+        payload, warnings, csv_rows, stats = handler(args, settings)
         job = {"command": args.command, "parameters": {}}
         for key in ("model", "ideal", "body", "c", "k", "k_min", "k_max", "k_range", "mode", "q", "epsilon"):
             value = getattr(args, key, None)
@@ -350,6 +353,8 @@ def main(argv=None):
             "warnings": warnings,
             "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
+        if stats is not None:
+            report["stats"] = stats
         _emit(args, report, csv_rows)
         return 0
     except HatvolError as exc:

@@ -23,8 +23,8 @@ from .rationals import parse_int
 
 MAX_DIM = 4
 
-# largest box of prefix cells one lattice count scans; larger dilated
-# boxes are refused
+# most prefix cells one lattice count scans, and one counting probe over
+# all its dilations together; larger dilated boxes and probes are refused
 MAX_LATTICE_CELLS = 10**6
 
 
@@ -348,6 +348,28 @@ def _int_ceil(num, den):
     return -((-num) // den)
 
 
+def _dilated_bounds(body, k):
+    """The integer range of each coordinate over the dilate k * body."""
+    bounds = []
+    for axis in range(body.dim):
+        lo, hi = body.coordinate_range(axis)
+        bounds.append((math.ceil(k * lo), math.floor(k * hi)))
+    return bounds
+
+
+def _prefix_cells(bounds):
+    """Cells of the box of all but the last coordinate ranges."""
+    return math.prod(max(0, hi - lo + 1) for lo, hi in bounds[:-1])
+
+
+def _check_cells(cells, what):
+    if cells > MAX_LATTICE_CELLS:
+        raise BudgetExceededError(
+            f"{what} of {cells} cells exceeds the limit of {MAX_LATTICE_CELLS}",
+            cells=cells, budget=MAX_LATTICE_CELLS,
+        )
+
+
 def lattice_points(body, k):
     """Exact count of integer points in the dilate k * body.
 
@@ -366,17 +388,9 @@ def lattice_points(body, k):
     for normal, rhs in body.equations:
         r = Fraction(rhs)
         eqs.append((tuple(r.denominator * a for a in normal), k * r.numerator))
-    bounds = []
-    for axis in range(dim):
-        lo, hi = body.coordinate_range(axis)
-        bounds.append((math.ceil(k * lo), math.floor(k * hi)))
+    bounds = _dilated_bounds(body, k)
     prefix_ranges = [range(lo, hi + 1) for lo, hi in bounds[:-1]]
-    cells = math.prod(len(r) for r in prefix_ranges)
-    if cells > MAX_LATTICE_CELLS:
-        raise BudgetExceededError(
-            f"a dilated box of {cells} cells exceeds the limit of {MAX_LATTICE_CELLS}",
-            cells=cells, budget=MAX_LATTICE_CELLS,
-        )
+    _check_cells(_prefix_cells(bounds), "a dilated box")
     lo_last, hi_last = bounds[-1]
     count = 0
     for prefix in itertools.product(*prefix_ranges):
@@ -433,10 +447,20 @@ def counting_error_probe(body, k_range, epsilon=Fraction(1, 20)):
 
     Reports every per-k error without smoothing, plus the least k in the
     range after which every error stays within epsilon (None if never).
+    Before the first count, each dilated prefix box and the running sum
+    of their sizes are checked against MAX_LATTICE_CELLS.
     """
     ks = list(k_range)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError("invalid-range", "k_range must be nonempty and strictly increasing")
+    if ks[0] < 1:
+        raise ValidationError("invalid-dilation", "dilation factor must be a positive integer")
+    total = 0
+    for k in ks:
+        cells = _prefix_cells(_dilated_bounds(body, k))
+        _check_cells(cells, "a dilated box")
+        total += cells
+        _check_cells(total, "a counting probe")
     epsilon = Fraction(epsilon)
     vol = volume(body)
     n = body.dim

@@ -10,7 +10,7 @@ probes that the verification suite drives.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import geometry, linalg, monomials
@@ -72,19 +72,31 @@ def lct(model, ideal):
         raise ValidationError("dimension-mismatch", "ideal and model dimensions differ")
     if ideal.is_unit:
         raise ValidationError("lct-undefined", "the unit ideal has no log canonical threshold")
-    costs = [1 - a for a in model.coeffs]
-    best = None
-    for normal, c in ideal.newton_facets():
-        weight = tuple(Fraction(x, c) for x in normal)
-        value = linalg.dot(costs, weight)
-        if best is None or value < best[0] or (value == best[0] and weight > best[1]):
-            best = (value, weight, normal, c)
-    value, weight, normal, c = best
+    costs, scale = model.integer_costs
+    num, normal, c = _facet_pick(costs, ideal.newton_facets())
     return LctResult(
-        value=value,
-        minimizing_weight=weight,
+        value=Fraction(num, scale * c),
+        minimizing_weight=tuple(Fraction(x, c) for x in normal),
         active_constraints=tuple(g for g in ideal.gens if linalg.dot(normal, g) == c),
     )
+
+
+def _facet_pick(costs, facets):
+    """(<costs, normal>, normal, c) for the facet <normal, u> >= c with the
+    least <costs, normal> / c, and on a tie the lexicographically greatest
+    normal / c. Integer costs and facets, compared by cross-multiplying."""
+    best_num = best_normal = best_c = None
+    for normal, c in facets:
+        num = linalg.dot(costs, normal)
+        if best_num is None:
+            best_num, best_normal, best_c = num, normal, c
+            continue
+        lhs, rhs = num * best_c, best_num * c
+        if lhs < rhs or (
+            lhs == rhs and tuple(x * best_c for x in normal) > tuple(x * c for x in best_normal)
+        ):
+            best_num, best_normal, best_c = num, normal, c
+    return best_num, best_normal, best_c
 
 
 def normalized_multiplicity(model, ideal):
@@ -360,23 +372,84 @@ def _staircase_key(ideal):
     return ideal.staircase()
 
 
-def _argmin(ideals, value):
+@dataclass
+class ScanStats:
+    """Work counters of normalized-colength scans, summed over the calls
+    that share one instance: ideals that reached the argmin, ideals the
+    lower bound ruled out, and lct evaluations."""
+
+    ideals_seen: int = 0
+    ideals_pruned: int = 0
+    lct_evaluations: int = 0
+
+    def to_payload(self):
+        return asdict(self)
+
+
+def _argmin(ideals, value, lower=None, incumbent=None, stats=None):
     """(least value, its ideal, number of ideals seen), or None when
     ``ideals`` is empty. Ties go to the lexicographically least
-    staircase, so the argmin does not depend on enumeration order."""
+    staircase, so the argmin does not depend on enumeration order.
+
+    With ``lower``, an ideal is skipped without calling ``value`` when
+    ``lower(ideal)`` = (p, q) shows value(ideal) >= p / q strictly above
+    the least of ``incumbent`` (a value some member of ``ideals``
+    attains) and the running best; such an ideal can neither win nor
+    tie. ``stats`` (a ScanStats) counts the ideals seen and pruned and
+    the ``value`` calls.
+    """
     best = None
-    count = 0
+    bar = incumbent
+    count = pruned = 0
     for ideal in ideals:
         count += 1
+        if lower is not None and bar is not None:
+            p, q = lower(ideal)
+            if p * bar.denominator > bar.numerator * q:
+                pruned += 1
+                continue
         v = value(ideal)
         if best is None or v < best[0]:
             best = (v, ideal)
+            if bar is None or v < bar:
+                bar = v
         elif v == best[0] and _staircase_key(ideal) < _staircase_key(best[1]):
             best = (v, ideal)
+    if stats is not None:
+        stats.ideals_seen += count
+        stats.ideals_pruned += pruned
+        stats.lct_evaluations += count - pruned
     return None if best is None else (best[0], best[1], count)
 
 
-def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=DEFAULT_WEIGHT_RATIOS):
+def _lct_floor(costs, gens):
+    """(p, q) with p / q at most the least <costs, w> over w >= 0 with
+    <w, g> >= 1 for every generator g: the lct in units of the cost
+    scale. By Howald monotonicity it is at least the threshold of any
+    subideal, here (x_1^{d_1}, ..., x_n^{d_n}) over the pure powers, with
+    sum costs_i / d_i, and each principal (x^g), with the least
+    costs_i / g_i over g_i > 0; the greatest of these is returned."""
+    sum_p, sum_q = 0, 1
+    best_p, best_q = 0, 1
+    for g in gens:
+        low_p = support = 0
+        for cost, x in zip(costs, g):
+            if x:
+                support += 1
+                if not low_p or cost * low_q < low_p * x:
+                    low_p, low_q = cost, x
+        if low_p * best_q > best_p * low_q:
+            best_p, best_q = low_p, low_q
+        if support == 1:
+            sum_p, sum_q = sum_p * low_q + low_p * sum_q, sum_q * low_q
+    if sum_p * best_q > best_p * sum_q:
+        return sum_p, sum_q
+    return best_p, best_q
+
+
+def normalized_colength(
+    model, c, k, mode="exact", budgets=None, weight_ratios=DEFAULT_WEIGHT_RATIOS, stats=None
+):
     """The normalized colength at level k: n! times the least
     lct^n * colength over ideals between the k-th power of the maximal
     ideal and the maximal ideal with colength at least c k^n.
@@ -386,6 +459,21 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=D
     a rational weight grid and therefore only bounds the infimum from
     above (refusing above the fixed ceiling `monomials.UPPER_BUDGETS`).
     Ties are broken by the lexicographically least staircase.
+
+    Each value is exact, from the integer facet pick of `lct`. An ideal
+    a is skipped unseen when n! B^n l(a) is strictly above the incumbent,
+    where B = max(sum (1-a_i)/d_i, max_g min_{g_i>0} (1-a_i)/g_i) over
+    its pure degrees d_i and generators g is a lower bound for lct(a):
+    a contains (x_1^{d_1}, ..., x_n^{d_n}) and each (x^g), and lct grows
+    with the ideal (Howald). The incumbent is the least of the running
+    best and, in exact mode, a seed: the best value among the powers
+    m^j, j <= k, that lie in the family. m^j has lct sum (1-a_i) / j and
+    colength C(n+j-1, n), and n! (sum (1-a_i)/j)^n C(n+j-1, n) falls as
+    j grows (for n >= 2), so the seed is the value of m^k, which is in
+    the family whenever any ideal is. Upper mode has no seed; on the
+    default grid its first ideal, of weights (1, ..., 1), is m^k itself.
+    Ties are never skipped, so the value and the argmin are those of the
+    full scan. ``stats`` (a ScanStats) counts the work.
     """
     if not isinstance(model, MonomialPair):
         raise ValidationError("invalid-model", "normalized colength is computed on monomial pairs")
@@ -404,12 +492,20 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=D
             c=format_rational(c), k=k,
         )
     factor = math.factorial(n)
+    costs, scale = model.integer_costs
 
     def value(ideal):
-        return factor * lct(model, ideal).value ** n * ideal.colength()
+        num, _, level = _facet_pick(costs, ideal.newton_facets())
+        return Fraction(factor * num**n * ideal.colength(), (scale * level) ** n)
 
+    def lower(ideal):
+        p, q = _lct_floor(costs, ideal.gens)
+        return factor * p**n * ideal.colength(), (scale * q) ** n
+
+    seed = None
     if mode == "exact":
         ideals = monomials.enumerate_staircases(n, k, min_colength=max(1, min_colength), budgets=budgets)
+        seed = Fraction(factor * sum(costs) ** n * full, (scale * k) ** n)
     elif mode == "upper":
         budget = monomials.UPPER_BUDGETS.get(n, 1)
         if k > budget:
@@ -420,7 +516,7 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, weight_ratios=D
         ideals = _valuation_ideals(n, k, min_colength, weight_ratios)
     else:
         raise ValidationError("invalid-mode", f"unknown mode {mode!r}")
-    best = _argmin(ideals, value)
+    best = _argmin(ideals, value, lower=lower, incumbent=seed, stats=stats)
     if best is None:
         raise ValidationError(
             "infeasible-c",
@@ -483,14 +579,15 @@ class ColengthScanResult:
         return out
 
 
-def colength_convergence_scan(model, c, k_range, mode="exact", budgets=None):
+def colength_convergence_scan(model, c, k_range, mode="exact", budgets=None, stats=None):
     """Normalized colengths along increasing k, with a liminf estimate.
 
     The estimate is the minimum over the tail half of the scanned range.
     Every row is checked exactly against the closed-form normalized
     volume from below; a row falling under it would contradict the
     regular-point colength-multiplicity comparison and is reported as an
-    internal invariant violation.
+    internal invariant violation. ``stats`` (a ScanStats) sums the work
+    of every row.
     """
     ks = list(k_range)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
@@ -499,7 +596,7 @@ def colength_convergence_scan(model, c, k_range, mode="exact", budgets=None):
     reference = hvol_closed_form(model).value
     rows = []
     for k in ks:
-        value, ideal = normalized_colength(model, c, k, mode=mode, budgets=budgets)
+        value, ideal = normalized_colength(model, c, k, mode=mode, budgets=budgets, stats=stats)
         if value < reference:
             raise InvariantViolationError(
                 "colength-below-volume",

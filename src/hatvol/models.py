@@ -9,6 +9,7 @@ upper bounds for the corresponding unrestricted infima and are flagged
 as such in reports.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,13 @@ class MonomialPair:
         if any(a < 0 or a >= 1 for a in coeffs):
             raise ValidationError("invalid-coefficient", "boundary coefficients must lie in [0, 1)")
         object.__setattr__(self, "coeffs", coeffs)
+
+    @functools.cached_property
+    def integer_costs(self):
+        """(costs, scale): the log discrepancy costs 1 - a_i times their
+        least common denominator `scale`, as integers."""
+        scale = math.lcm(*(a.denominator for a in self.coeffs))
+        return tuple(int((1 - a) * scale) for a in self.coeffs), scale
 
     def to_json(self):
         return {"type": "monomial_pair", "n": self.n, "coeffs": [format_rational(a) for a in self.coeffs]}

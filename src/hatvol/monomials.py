@@ -54,16 +54,34 @@ def _dominates(u, g):
     return all(u[i] >= g[i] for i in range(len(u)))
 
 
-def _box(dims):
-    """The cells of the box prod(range(d) for d in dims) in lexicographic
-    order, and for each cell the indices of the cells one step below it."""
+def _strides(dims):
+    """Index strides of the cells of a box of these dimensions, refusing
+    a box of more than MAX_BOX_CELLS cells."""
     size = math.prod(dims)
     if size > MAX_BOX_CELLS:
         raise BudgetExceededError(
             f"a staircase box of {size} cells exceeds the limit of {MAX_BOX_CELLS}",
             cells=size, budget=MAX_BOX_CELLS,
         )
-    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    return [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+
+
+def _cells(dims):
+    """The cells of the box prod(range(d) for d in dims), lexicographically
+    and lazily: unlike itertools.product, which holds every range as a
+    tuple, it keeps nothing but the current prefix."""
+    if not dims:
+        yield ()
+        return
+    for head in _cells(dims[:-1]):
+        for x in range(dims[-1]):
+            yield head + (x,)
+
+
+def _box(dims):
+    """The cells of the box prod(range(d) for d in dims) in lexicographic
+    order, and for each cell the indices of the cells one step below it."""
+    strides = _strides(dims)
     cells = list(itertools.product(*[range(d) for d in dims]))
     return cells, [[i - s for x, s in zip(u, strides) if x] for i, u in enumerate(cells)]
 
@@ -185,22 +203,29 @@ class MonomialIdeal:
 
     def staircase(self):
         """The standard monomials as a sorted tuple of exponent vectors."""
-        cells, heights = self._column_heights()
-        return tuple(u + (z,) for u, h in zip(cells, heights) for z in range(h))
+        dims, heights = self._column_heights()
+        return tuple(u + (z,) for u, h in zip(_cells(dims), heights) for z in range(h))
 
     def _column_heights(self):
-        """(cells, heights) over the box one step past the first n - 1
-        pure degrees: h(u) is the least last exponent of a generator at
-        or below the cell u."""
+        """(dims, heights): the dimensions of the box one step past the
+        first n - 1 pure degrees, and for its cells u in lexicographic
+        order h(u), the least last exponent of a generator at or below u.
+        Only heights are stored; the cell one step below u along axis j
+        sits strides[j] places before it."""
         if self._columns is None:
             if not self.is_primary:
                 raise ValidationError("infinite-colength", "colength is finite only for m-primary ideals")
-            cells, below = _box([d + 1 for d in self.pure_degrees()[:-1]])
+            dims = [d + 1 for d in self.pure_degrees()[:-1]]
+            strides = _strides(dims)
             tops = {g[:-1]: g[-1] for g in self.gens}
             heights = []
-            for u, lower in zip(cells, below):
-                heights.append(min([tops.get(u, math.inf)] + [heights[j] for j in lower]))
-            self._columns = (cells, heights)
+            for i, u in enumerate(_cells(dims)):
+                h = tops.get(u, math.inf)
+                for x, s in zip(u, strides):
+                    if x and heights[i - s] < h:
+                        h = heights[i - s]
+                heights.append(h)
+            self._columns = (dims, heights)
         return self._columns
 
     def power(self, m):
@@ -324,8 +349,10 @@ def valuation_ideal(weights, k):
     k = parse_rational(k)
     if k <= 0:
         raise ValidationError("invalid-weight", "threshold k must be positive")
-    cells, below = _box([math.ceil(k / wi) + 1 for wi in w[:-1]])
-    heights = [max(0, math.ceil((k - linalg.dot(w[:-1], u)) / w[-1])) for u in cells]
+    # in integers: ceil(a / b) = -(-a // b) for b > 0
+    *head, last, level = linalg.clear_denominators(w + [k])
+    cells, below = _box([-(-level // wi) + 1 for wi in head])
+    heights = [max(0, -((linalg.dot(head, u) - level) // last)) for u in cells]
     return MonomialIdeal._from_corners(len(w), _corners(cells, below, heights))
 
 

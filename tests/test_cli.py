@@ -99,6 +99,24 @@ class TestCommands:
         assert code == 0
         assert result_of(out)["c"] == "1/8"
 
+    def test_hatl_stats(self, capsys, an2):
+        # the lower bound rules out 350 of the 417 ideals at k = 6
+        code, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "6")
+        assert code == 0
+        report = json.loads(out)
+        assert report["stats"] == {"ideals_pruned": 350, "ideals_seen": 417, "lct_evaluations": 67}
+        assert report["result"]["value"] == "14/3"
+
+    def test_scan_stats_sum_the_rows(self, capsys, an2):
+        total = {"ideals_pruned": 0, "ideals_seen": 0, "lct_evaluations": 0}
+        for k in (2, 3, 4, 5):
+            _, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", str(k))
+            for key, count in json.loads(out)["stats"].items():
+                total[key] += count
+        code, out, _ = run(capsys, "scan", "--model", an2, "--k-max", "5")
+        assert code == 0
+        assert json.loads(out)["stats"] == total
+
     def test_lattice(self, capsys, workdir):
         body = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
         code, out, _ = run(capsys, "lattice", "--body", body, "--k-range", "5,10")
@@ -277,6 +295,20 @@ class TestErrorPaths:
         code, out, err = run(capsys, "lattice", "--body", body, "--k-range", "5,10000000")
         assert code == 3 and out == ""
         assert json.loads(err)["cells"] == 10000001
+
+    @pytest.mark.parametrize("k_range", ["1:1000", "1:700"])
+    def test_probe_over_the_summed_cell_cap_refused(self, capsys, workdir, k_range):
+        # at 1:700 every box is under the cap (701^2 cells) but their sum
+        # is not; both are refused before the first count
+        cube = [[str(x), str(y), str(z)] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        body = write(workdir / "cube.json", {"vertices": cube})
+        started = time.perf_counter()
+        code, out, err = run(capsys, "lattice", "--body", body, "--k-range", k_range)
+        assert time.perf_counter() - started < 1
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["budget"] == geometry.MAX_LATTICE_CELLS < error["cells"]
+        assert "counting probe" in error["message"]
 
     def test_csv_unsupported(self, capsys, an2):
         code, _, err = run(capsys, "hvol", "--model", an2, "--format", "csv")

@@ -56,6 +56,39 @@ class TestLct:
         for ideal in M.enumerate_staircases(2, 5):
             assert I.lct(AN2, ideal).value == simplex.solve_covering([1, 1], ideal.gens).value
 
+    def test_integer_pick_matches_fraction_reference_on_ties(self):
+        def reference(model, ideal):
+            # the least <1 - a, normal / c> over the Newton facets, in
+            # Fraction arithmetic; ties go to the lexicographically
+            # greatest weight normal / c
+            costs = [1 - a for a in model.coeffs]
+            best = None
+            for normal, c in ideal.newton_facets():
+                weight = tuple(F(x, c) for x in normal)
+                value = linalg.dot(costs, weight)
+                if best is None or value < best[0] or (value == best[0] and weight > best[1]):
+                    best = (value, weight, normal, c)
+            value, weight, normal, c = best
+            active = tuple(g for g in ideal.gens if linalg.dot(normal, g) == c)
+            return I.LctResult(value, weight, active), sum(
+                linalg.dot(costs, normal) / c == value for normal, c in ideal.newton_facets()
+            )
+
+        ties = 0
+        for model, ideals in [
+            (AN2, [M.MonomialIdeal(2, [(3, 0), (1, 1), (0, 3)])]),
+            (AN3, [M.MonomialIdeal(3, [(2, 0, 0), (1, 2, 0), (1, 0, 1), (0, 3, 0), (0, 1, 1), (0, 0, 2)])]),
+            (AN2, M.enumerate_staircases(2, 5)),
+            (MD.MonomialPair(2, (F(1, 2), F(1, 4))), M.enumerate_staircases(2, 5)),
+            (AN3, M.enumerate_staircases(3, 3)),
+            (MD.MonomialPair(3, (F(1, 3), 0, F(2, 3))), M.enumerate_staircases(3, 3)),
+        ]:
+            for ideal in ideals:
+                expected, tied = reference(model, ideal)
+                assert I.lct(model, ideal) == expected
+                ties += tied > 1
+        assert ties >= 50
+
     def test_membership_value_3d(self):
         assert I.lct(AN3, M.maximal_power(3, 2)).value == F(3, 2)
 

@@ -1,13 +1,16 @@
-"""Property tests of the lct engine on random ideals and boundaries, and
-of the column-height staircase kernel against box-scan oracles.
+"""Property tests of the lct engine on random ideals and boundaries, of
+the pruned normalized-colength scan against the unpruned one, and of the
+column-height staircase kernel against box-scan oracles.
 
 Hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic.
 """
 
 import itertools
+import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from hatvol import linalg
 from hatvol import models as MD
 from hatvol import monomials as M
 from hatvol import simplex
+from hatvol.errors import ValidationError
 from test_monomials import brute_colength
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
@@ -56,6 +60,45 @@ def test_lct_monotone_under_inclusion(case):
     model, ideal, (extra,) = case
     larger = M.MonomialIdeal(model.n, list(ideal.gens) + [extra])
     assert I.lct(model, larger).value >= I.lct(model, ideal).value
+
+
+@st.composite
+def colength_scans(draw):
+    """A monomial pair in two or three variables, a level k (at most 7 for
+    n = 2 and 3 for n = 3), a feasible colength fraction c and a mode."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, 7 if n == 2 else 3))
+    coeffs = []
+    for _ in range(n):
+        q = draw(st.integers(1, 9))
+        coeffs.append(F(draw(st.integers(0, q - 1)), q))
+    # c k^n ranges up to the colength of m^k
+    c = F(draw(st.integers(1, 4 * math.comb(n + k - 1, n))), 4 * k**n)
+    mode = draw(st.sampled_from(["exact", "upper"]))
+    return MD.MonomialPair(n, tuple(coeffs)), c, k, mode
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(colength_scans())
+def test_pruned_scan_matches_the_full_argmin(case):
+    # the unpruned reference: plain _argmin over the public lct
+    model, c, k, mode = case
+    n = model.n
+    min_colength = math.ceil(c * k**n)
+    if mode == "exact":
+        family = M.enumerate_staircases(n, k, min_colength=max(1, min_colength))
+    else:
+        family = I._valuation_ideals(n, k, min_colength, I.DEFAULT_WEIGHT_RATIOS)
+    factor = math.factorial(n)
+    expected = I._argmin(family, lambda ideal: factor * I.lct(model, ideal).value ** n * ideal.colength())
+    stats = I.ScanStats()
+    if expected is None:
+        with pytest.raises(ValidationError):
+            I.normalized_colength(model, c, k, mode=mode, stats=stats)
+        return
+    assert I.normalized_colength(model, c, k, mode=mode, stats=stats) == expected[:2]
+    assert stats.ideals_seen == expected[2]
+    assert stats.lct_evaluations == stats.ideals_seen - stats.ideals_pruned
 
 
 @st.composite
