@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import geometry, invariants, monomials
 from .errors import HatvolError, ValidationError
-from .models import FanoConeInput, cone_construction, fano_degree_bound, load_model
+from .models import FanoConeInput, MonomialPair, cone_construction, fano_degree_bound, load_model
 from .rationals import format_rational, parse_rational
 
 
@@ -195,6 +195,8 @@ def _cmd_hatl(args, settings):
 
 def _cmd_scan(args, settings):
     model = _load_model(args.model)
+    if not isinstance(model, MonomialPair):
+        raise ValidationError("invalid-model", "scan expects a monomial_pair model")
     c = parse_rational(args.c) if args.c is not None else invariants.default_scan_constant(model.n)
     stats = invariants.ScanStats()
     scan = invariants.colength_convergence_scan(

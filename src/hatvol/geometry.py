@@ -6,10 +6,14 @@ kernel, `_extreme_rays`, which finds the extreme rays of a dual cone by
 double description over integer normals: a simplicial start from
 independent rows, one cut per further row, adjacency read off zero sets
 held as bitmasks. For hulls and polyhedra the cone is the
-homogenization one dimension higher. Every other computation here
-(hulls, duals, volumes, lattice counts, the counting and Riemann-sum
-probes) runs over `fractions.Fraction`; no floating point enters this
-module.
+homogenization one dimension higher. A point set of lower affine
+dimension is flattened by a coordinate chart: the pivot columns of the
+row reduction of its differences, onto which it projects one-to-one.
+Degenerate hulls, triangulations and lower-dimensional cones work on the
+projected points and read their answers back by index, with no linear
+solve. Every other computation here (hulls, duals, volumes, lattice
+counts, the counting and Riemann-sum probes) runs over
+`fractions.Fraction`; no floating point enters this module.
 """
 
 import itertools
@@ -136,8 +140,9 @@ def convex_hull(points):
 
     The vertex set is minimal. The facets of a full-dimensional hull come
     from :func:`_hull_facets`. Lower-dimensional inputs are supported:
-    the body is flagged not full-dimensional, and its facet system is
-    expressed inside the affine hull together with explicit equations.
+    the body is flagged not full-dimensional, its facets are those of the
+    hull in chart coordinates, zero-padded to the ambient dimension, and
+    explicit equations cut out the affine hull.
     """
     if not points:
         raise ValidationError("empty-input", "convex hull of an empty point set")
@@ -152,114 +157,54 @@ def convex_hull(points):
 
     base = pts[0]
     diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
-    affine_dim = linalg.rank(diffs) if diffs else 0
+    chart = _chart(diffs)
+    affine_dim = len(chart)
 
     if affine_dim == dim:
         facets = _hull_facets(pts)
         vertices = _extract_vertices(pts, facets, dim)
         return ConvexBody(dim, tuple(sorted(vertices)), tuple(facets), (), dim)
 
-    # degenerate: hull inside the affine subspace through base
+    # degenerate: hull of the points in chart coordinates, read back
+    normals = [linalg.primitive(linalg.clear_denominators(n)) for n in linalg.nullspace(diffs, dim)]
+    equations = tuple(sorted((a, linalg.dot(a, base)) for a in normals))
     if affine_dim == 0:
-        equations = _affine_equations(pts, base, [], dim)
-        return ConvexBody(dim, (base,), (), tuple(equations), 0)
-    basis = _independent_subset(diffs, affine_dim)
-    coords = _affine_coordinates(pts, base, basis)
-    sub = convex_hull(coords)
-    index = {coords[i]: pts[i] for i in range(len(pts))}
-    vertices = tuple(sorted(index[v] for v in sub.vertices))
-    equations = _affine_equations(pts, base, basis, dim)
-    facets = _pull_back_facets(sub.facets, base, basis, dim)
-    return ConvexBody(dim, vertices, tuple(facets), tuple(equations), affine_dim)
-
-
-def _independent_subset(diffs, target):
-    chosen = []
-    for d in diffs:
-        if linalg.rank(chosen + [d]) > len(chosen):
-            chosen.append(d)
-            if len(chosen) == target:
-                break
-    return chosen
-
-
-def _affine_coordinates(pts, base, basis):
-    """Coordinates of each point in the affine frame (base; basis)."""
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(len(base))]
-    out = []
-    for p in pts:
-        rhs = [p[i] - base[i] for i in range(len(base))]
-        y = linalg.solve_affine(rows, rhs, len(basis))
-        if y is None:
-            raise InvariantViolationError("affine-frame", "point outside its own affine hull")
-        out.append(y)
-    return out
-
-
-def _affine_equations(pts, base, basis, dim):
-    normals = linalg.nullspace(basis, dim)
-    equations = []
-    for n in normals:
-        normal = linalg.primitive(linalg.clear_denominators(n))
-        equations.append((normal, linalg.dot(normal, base)))
-    return sorted(equations)
-
-
-def _pull_back_facets(sub_facets, base, basis, dim):
-    """Express facets of the reduced hull as ambient inequalities.
-
-    Uses a coordinate subset on which the basis matrix is invertible, so
-    the affine coordinates are exact linear functions of the ambient ones.
-    """
-    if not sub_facets:
-        return []
-    r = len(basis)
-    rows = [[basis[j][i] for j in range(r)] for i in range(dim)]
-    positions = []
-    block = []
-    for i in range(dim):
-        if linalg.rank(block + [rows[i]]) > len(block):
-            block.append(rows[i])
-            positions.append(i)
-            if len(block) == r:
-                break
-    inverse_cols = []
-    for col in range(r):
-        e = [Fraction(int(i == col)) for i in range(r)]
-        inverse_cols.append(linalg.solve_affine(block, e, r))
+        return ConvexBody(dim, (base,), (), equations, 0)
+    projected = [_project(p, chart) for p in pts]
+    sub = convex_hull(projected)
+    corners = set(sub.vertices)
+    vertices = tuple(p for p, q in zip(pts, projected) if q in corners)
     facets = []
-    for normal, rhs in sub_facets:
-        # <normal, y> <= rhs with y = B_I^{-1} (x_I - base_I)
-        coeff = [
-            sum(Fraction(normal[j]) * inverse_cols[i][j] for j in range(r))
-            for i in range(r)
-        ]
-        ambient = [Fraction(0)] * dim
-        for c, pos in zip(coeff, positions):
-            ambient[pos] = c
-        shift = sum(c * base[pos] for c, pos in zip(coeff, positions))
-        scaled = linalg.clear_denominators(list(ambient) + [Fraction(rhs) + shift])
-        g = 0
-        for x in scaled[:-1]:
-            g = math.gcd(g, abs(x))
-        facets.append((tuple(x // g for x in scaled[:-1]), Fraction(scaled[-1], g)))
-    return sorted(facets)
+    for normal, rhs in sub.facets:
+        # zero-padded, a primitive chart normal stays primitive
+        lift = dict(zip(chart, normal))
+        facets.append((tuple(lift.get(i, 0) for i in range(dim)), rhs))
+    return ConvexBody(dim, vertices, tuple(sorted(facets)), equations, affine_dim)
 
 
-def _hull_facets(points, rays=()):
-    """Facets <a, x> <= b of conv(points) + cone(rays), which must be
-    full-dimensional, sorted, with primitive integer normals a.
+def _chart(diffs):
+    """The pivot columns of the row reduction of ``diffs``: projecting
+    onto these coordinates is one-to-one on the affine hull of points
+    whose differences are ``diffs``, so facets, vertices and
+    triangulations of the projected points are those of the points."""
+    return linalg._eliminate(diffs)[1]
 
-    A point p homogenizes to (p, 1) and a ray r to (r, 0); each extreme
-    ray (w, w0) of the dual of their cone gives <-w, x> <= w0.
+
+def _project(point, chart):
+    return tuple(point[c] for c in chart)
+
+
+def _hull_facets(points):
+    """Facets <a, x> <= b of conv(points), which must be full-dimensional,
+    sorted, with primitive integer normals a.
+
+    A point p homogenizes to (p, 1); each extreme ray (w, w0) of the
+    dual of their cone gives <-w, x> <= w0.
     """
     gens = [linalg.clear_denominators(tuple(p) + (Fraction(1),)) for p in points]
-    gens += [tuple(r) + (0,) for r in rays]
     facets = []
     for w in _extreme_rays(gens, len(gens[0])):
-        g = 0
-        for x in w[:-1]:
-            g = math.gcd(g, x)
+        g = math.gcd(*w[:-1])
         if g:  # g == 0 is the trivial inequality 0 <= 1
             facets.append((tuple(-x // g for x in w[:-1]), Fraction(w[-1], g)))
     return sorted(facets)
@@ -282,8 +227,8 @@ def _triangulate_indices(points, d):
     """Triangulate the hull of ``points`` (affine dimension d) into index tuples.
 
     Every simplex uses only input points: the hull is fanned from its
-    lexicographically least vertex over triangulations of the opposite
-    facets.
+    lexicographically least vertex in chart coordinates over
+    triangulations of the opposite facets.
     """
     if d == 0:
         return [(0,)]
@@ -296,10 +241,8 @@ def _triangulate_indices(points, d):
                 break
         keyed = sorted(range(len(points)), key=lambda i: linalg.dot(direction, points[i]))
         return [(keyed[0], keyed[-1])]
-    base = points[0]
-    diffs = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]]
-    basis = _independent_subset(diffs, d)
-    coords = _affine_coordinates(points, base, basis)
+    chart = _chart([tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]])
+    coords = [_project(p, chart) for p in points]
     facets = _hull_facets(set(coords))
     vertex_idx = [
         i
@@ -571,11 +514,9 @@ class Cone:
     def is_pointed(self):
         if self._pointed is not None:
             return self._pointed
-        # lower-dimensional cone: decide inside its linear span
-        basis = _independent_subset(list(self.rays), linalg.rank(list(self.rays)))
-        coords = _affine_coordinates(list(self.rays), tuple(Fraction(0) for _ in range(self.dim)), basis)
-        restricted = Cone([linalg.clear_denominators(c) for c in coords])
-        return restricted.is_pointed
+        # lower-dimensional cone: decide over its rays in chart coordinates
+        chart = _chart(list(self.rays))
+        return Cone([_project(r, chart) for r in self.rays]).is_pointed
 
     def dual(self):
         """The dual cone {u : <u, v> >= 0 for all rays v}; an involution."""
@@ -713,17 +654,19 @@ def _extreme_rays(normals, dim):
 
 
 class Polyhedron:
-    """An unbounded polyhedron given by generating points plus recession rays.
+    """An unbounded polyhedron given by integer generating points plus
+    recession rays.
 
-    The facet system is derived once by :func:`_hull_facets`, which passes
-    to the homogenization cone in one dimension higher and dualizes; the
-    V-form and the derived H-form therefore describe the same set exactly.
+    The facet system is derived once by :func:`_extreme_rays` on the
+    homogenization cone one dimension higher, over the rows (p, 1) for
+    points p and (r, 0) for rays r; the V-form and the derived H-form
+    therefore describe the same set exactly, in integers.
     """
 
     __slots__ = ("dim", "points", "rays", "_facets")
 
     def __init__(self, points, rays):
-        pts = sorted(set(_as_point(p) for p in points))
+        pts = sorted(set(tuple(parse_int(x, "point coordinate") for x in p) for p in points))
         if not pts:
             raise ValidationError("empty-input", "a polyhedron needs at least one point")
         self.dim = len(pts[0])
@@ -735,8 +678,14 @@ class Polyhedron:
     def facets(self):
         """Irredundant inequalities <a, x> >= c with primitive integer a, sorted."""
         if self._facets is None:
-            facets = _hull_facets(self.points, self.rays)
-            self._facets = tuple(sorted((tuple(-x for x in a), -b) for a, b in facets))
+            rows = [p + (1,) for p in self.points] + [r + (0,) for r in self.rays]
+            facets = []
+            for w in _extreme_rays(rows, self.dim + 1):
+                # every facet holds a point p, so g divides w0 = -<w, p>
+                g = math.gcd(*w[:-1])
+                if g:  # g == 0 is the trivial inequality 1 >= 0
+                    facets.append((tuple(x // g for x in w[:-1]), -w[-1] // g))
+            self._facets = tuple(sorted(facets))
         return self._facets
 
     def contains(self, point):

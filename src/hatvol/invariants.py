@@ -447,9 +447,7 @@ def _lct_floor(costs, gens):
     return best_p, best_q
 
 
-def normalized_colength(
-    model, c, k, mode="exact", budgets=None, weight_ratios=DEFAULT_WEIGHT_RATIOS, stats=None
-):
+def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
     """The normalized colength at level k: n! times the least
     lct^n * colength over ideals between the k-th power of the maximal
     ideal and the maximal ideal with colength at least c k^n.
@@ -513,7 +511,7 @@ def normalized_colength(
                 f"upper-mode scan for n={n} is budgeted at k <= {budget}, got k={k}",
                 n=n, k=k, budget=budget,
             )
-        ideals = _valuation_ideals(n, k, min_colength, weight_ratios)
+        ideals = _valuation_ideals(n, k, min_colength, DEFAULT_WEIGHT_RATIOS)
     else:
         raise ValidationError("invalid-mode", f"unknown mode {mode!r}")
     best = _argmin(ideals, value, lower=lower, incumbent=seed, stats=stats)
@@ -650,7 +648,7 @@ class LechGapReport:
         }
 
 
-def lech_gap_probe(n, k, delta, epsilon, budgets=None):
+def lech_gap_probe(n, k, delta, epsilon):
     """Minimum of n! colength / multiplicity over ideals squeezed between
     the k-th and ceil(delta k)-th powers of the maximal ideal.
 
@@ -665,7 +663,7 @@ def lech_gap_probe(n, k, delta, epsilon, budgets=None):
     j = math.ceil(delta * k)
     factor = math.factorial(n)
     best = _argmin(
-        monomials.enumerate_staircases(n, k, contain_power=j, budgets=budgets),
+        monomials.enumerate_staircases(n, k, contain_power=j),
         lambda ideal: Fraction(factor * ideal.colength()) / ideal.multiplicity(),
     )
     if best is None:

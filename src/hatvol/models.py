@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry, linalg
-from .errors import InvariantViolationError, ValidationError
+from .errors import ValidationError
 from .rationals import format_rational, parse_int, parse_rational
 
 
@@ -198,19 +198,15 @@ def normalized_volume_of_valuation(model, valuation):
 
 def cone_construction(fano):
     """Affine cone over the polarized base: the cone dual to
-    Cone(polytope x {1}), with its Gorenstein covector verified."""
+    Cone(polytope x {1}), with its Gorenstein covector verified.
+
+    The cone is Q-Gorenstein exactly when some point of the polytope
+    lies at equal lattice distance from all its facets, as on every Fano
+    polytope. Other lattice polytopes are refused as `not-q-gorenstein`."""
     gens = []
     for v in fano.polytope.vertices:
         gens.append(tuple(int(x) for x in v) + (1,))
-    sigma_dual = geometry.Cone(gens)
-    sigma = sigma_dual.dual()
-    try:
-        return ToricSingularity(sigma)
-    except ValidationError as exc:
-        # cones over polarized bases are Q-Gorenstein by construction
-        raise InvariantViolationError(
-            "cone-construction", f"constructed cone failed validation: {exc}"
-        ) from exc
+    return ToricSingularity(geometry.Cone(gens).dual())
 
 
 def fano_degree_bound(fano):

@@ -317,11 +317,11 @@ class MonomialIdeal:
         if not self.is_primary:
             raise ValidationError("infinite-covolume", "integral closure implemented for m-primary ideals")
         facets = self.newton_facets()
-        cells, below = _box([d + 1 for d in self.pure_degrees()[:-1]])
-        heights = [
-            max(0, *(math.ceil(Fraction(c - linalg.dot(a[:-1], u), a[-1])) for a, c in facets)) for u in cells
-        ]
-        return MonomialIdeal._from_corners(self.n, _corners(cells, below, heights))
+        dims = [d + 1 for d in self.pure_degrees()[:-1]]
+        cells, below = _box(dims)
+        # in integers: ceil(a / b) = -(-a // b) for b > 0
+        heights = [max(0, *(-((linalg.dot(a[:-1], u) - c) // a[-1]) for a, c in facets)) for u in cells]
+        return _with_columns(self.n, dims, cells, below, heights)
 
 
 def maximal_ideal(n):
@@ -351,9 +351,18 @@ def valuation_ideal(weights, k):
         raise ValidationError("invalid-weight", "threshold k must be positive")
     # in integers: ceil(a / b) = -(-a // b) for b > 0
     *head, last, level = linalg.clear_denominators(w + [k])
-    cells, below = _box([-(-level // wi) + 1 for wi in head])
+    dims = [-(-level // wi) + 1 for wi in head]
+    cells, below = _box(dims)
     heights = [max(0, -((linalg.dot(head, u) - level) // last)) for u in cells]
-    return MonomialIdeal._from_corners(len(w), _corners(cells, below, heights))
+    return _with_columns(len(w), dims, cells, below, heights)
+
+
+def _with_columns(n, dims, cells, below, heights):
+    """The ideal with these column heights over the box one step past its
+    first n - 1 pure degrees, keeping them as its `_column_heights`."""
+    ideal = MonomialIdeal._from_corners(n, _corners(cells, below, heights))
+    ideal._columns = (dims, heights)
+    return ideal
 
 
 def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None):

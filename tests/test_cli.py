@@ -6,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hatvol
 from hatvol import acceptance
@@ -310,10 +312,132 @@ class TestErrorPaths:
         assert error["budget"] == geometry.MAX_LATTICE_CELLS < error["cells"]
         assert "counting probe" in error["message"]
 
+    @pytest.mark.parametrize("model", [
+        {"type": "fano_cone", "polytope": [[0], [1]]},
+        {"type": "toric", "rays": [[0, 1], [2, -1]]},
+    ])
+    def test_scan_needs_a_monomial_pair(self, capsys, workdir, model):
+        # without --c the default constant reads the pair's dimension
+        code, out, err = run(capsys, "scan", "--model", write(workdir / "m.json", model), "--k-max", "3")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-model"
+
+    def test_cone_over_a_non_fano_polytope_refused(self, capsys, workdir):
+        # no point of this polytope lies at equal lattice distance from
+        # all its facets, so the cone over it is not Q-Gorenstein
+        polytope = [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 2], [1, 0, 0]]
+        model = write(workdir / "m.json", {"type": "fano_cone", "polytope": polytope})
+        for command in ("hvol", "cone"):
+            code, out, err = run(capsys, command, "--model", model)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == "not-q-gorenstein"
+
     def test_csv_unsupported(self, capsys, an2):
         code, _, err = run(capsys, "hvol", "--model", an2, "--format", "csv")
         assert code == 2
         assert json.loads(err)["error"] == "invalid-format"
+
+
+# JSON values for fuzzed documents: small numbers and strings near the
+# rational wire format, nested a little
+FUZZ_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(-4, 4, width=16),
+    st.sampled_from(["", "x", "1/2", "1/0", "-1", "3", "0.5", "2/4", "1e3", "toric"]),
+)
+FUZZ_VALUES = st.recursive(
+    FUZZ_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["type", "n", "coeffs", "rays", "gens", "vertices"]), inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+def _mostly(draw, usual, stray):
+    """A draw from ``usual``, or one time in five from ``stray``."""
+    return draw(stray if draw(st.integers(0, 4)) == 4 else usual)
+
+
+@st.composite
+def near_valid(draw, entries, rows):
+    """A list of `entries` (of rows of equal width when ``rows``) with at
+    most one entry replaced by a stray value; now and then any value."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(FUZZ_VALUES)
+    if rows:
+        width = draw(st.integers(1, 4))
+        entries = st.lists(entries, min_size=width, max_size=width)
+    out = draw(st.lists(entries, min_size=1, max_size=5))
+    if draw(st.integers(0, 2)) == 2:
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.one_of(FUZZ_VALUES, st.lists(st.integers(-3, 3), max_size=5)))
+    return out
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A model, ideal or body document, mostly of the right shape with
+    some wrong part, or any JSON value at all."""
+    kind = draw(st.sampled_from(["model", "ideal", "body"]))
+    if draw(st.integers(0, 9)) == 9:
+        return kind, draw(FUZZ_VALUES)
+    n = _mostly(draw, st.integers(-1, 4), FUZZ_SCALARS)
+    rows = near_valid(st.integers(-3, 3), rows=True)
+    if kind == "model":
+        doc = {
+            "type": _mostly(draw, st.sampled_from(["monomial_pair", "toric", "fano_cone"]), FUZZ_SCALARS),
+            "n": n,
+            "coeffs": draw(near_valid(st.sampled_from(["0", "1/2", "2/3", "1", "-1/2", "5/7"]), rows=False)),
+            "rays": draw(rows),
+            "polytope": draw(rows),
+            "r": _mostly(draw, st.integers(1, 3), FUZZ_SCALARS),
+        }
+    elif kind == "ideal":
+        doc = {"n": n, "gens": draw(near_valid(st.integers(-1, 4), rows=True))}
+    else:
+        doc = {"vertices": draw(near_valid(st.sampled_from([0, 1, -2, "1/2", "-3/4", "5/3"]), rows=True))}
+    if draw(st.integers(0, 4)) == 4:
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    return kind, doc
+
+
+FUZZ_COMMANDS = {
+    "model": [
+        ["hvol", "--model", "doc.json"],
+        ["hatl", "--model", "doc.json", "--c", "1/8", "--k", "3"],
+        ["scan", "--model", "doc.json", "--k-max", "3", "--mode", "upper"],
+        ["cone", "--model", "doc.json"],
+        ["qbound", "--model", "doc.json", "--q", "1"],
+        ["lct", "--model", "doc.json", "--ideal", "x2y3.json"],
+    ],
+    "ideal": [
+        ["lct", "--model", "an2.json", "--ideal", "doc.json"],
+        ["mult", "--ideal", "doc.json"],
+        ["colength", "--ideal", "doc.json"],
+    ],
+    "body": [["lattice", "--body", "doc.json", "--k-range", "1:2"]],
+}
+
+
+# the workdir fixture only fixes the directory and clears HATVOL_*; each
+# example rewrites doc.json in it
+@settings(
+    derandomize=True, max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(fuzzed_documents())
+def test_fuzzed_documents_exit_cleanly(capsys, workdir, an2, x2y3, case):
+    kind, doc = case
+    write(workdir / "doc.json", doc)
+    for argv in FUZZ_COMMANDS[kind]:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3), (argv, doc, err)
+        if code:
+            assert "Traceback" not in err
+            (line,) = err.splitlines()
+            assert "error" in json.loads(line)
 
 
 class TestDeterminism:

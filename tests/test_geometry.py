@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -63,6 +64,47 @@ class TestConvexHull:
         assert not body.contains((1, 1))
 
 
+@st.composite
+def degenerate_point_sets(draw):
+    """Up to six points on a random rational affine subspace of dimension
+    r < d <= 4: a rational base plus combinations of r integer directions
+    with coefficients in {0, 1/2, 1}, so every coordinate spans at most 3."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(0, d - 1))
+    base = draw(st.tuples(*[st.fractions(-1, 1, max_denominator=3)] * d))
+    directions = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), min_size=r, max_size=r))
+    coefficient = st.sampled_from([F(0), F(1, 2), F(1)])
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = [draw(coefficient) for _ in range(r)]
+        points.append(tuple(b + sum(c * v[i] for c, v in zip(coeffs, directions)) for i, b in enumerate(base)))
+    return points, r
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(degenerate_point_sets())
+def test_degenerate_hulls(case):
+    points, r = case
+    body = G.convex_hull(points)
+    assert body.affine_dim <= r < body.dim
+    assert len(body.equations) == body.dim - body.affine_dim
+    assert body.volume() == 0
+    for p in points:
+        assert all(linalg.dot(a, p) == b for a, b in body.equations)
+        assert all(linalg.dot(a, p) <= b for a, b in body.facets)
+    assert set(body.vertices) <= set(points)
+    for a, b in body.facets:
+        # a facet: the vertices on it span affine dimension affine_dim - 1
+        face = [v for v in body.vertices if linalg.dot(a, v) == b]
+        assert linalg.rank([tuple(x - y for x, y in zip(v, face[0])) for v in face[1:]]) == body.affine_dim - 1
+    for k in (1, 2, 3):
+        box = [
+            range(math.ceil(k * min(col)), math.floor(k * max(col)) + 1) for col in zip(*points)
+        ]
+        brute = sum(1 for u in itertools.product(*box) if body.contains(tuple(F(x, k) for x in u)))
+        assert body.lattice_points(k) == brute
+
+
 class TestDualCone:
     def test_orthant_self_dual(self):
         orthant = G.Cone([(1, 0), (0, 1)])
@@ -113,6 +155,22 @@ class TestDualCone:
         assert not lower.is_full_dimensional
         with pytest.raises(ValidationError):
             lower.dual()
+
+    @pytest.mark.parametrize(
+        "rays,pointed",
+        [
+            ([(1, 0, 0), (0, 1, 0)], True),
+            ([(2, 1, 0), (-2, -1, 0)], False),
+            ([(1, 0, 1), (0, 1, 1), (1, 1, 2)], True),
+            ([(1, 0, 1), (0, 1, 1), (-1, -1, -2)], False),
+            ([(0, 1, 1, 0), (0, 1, -1, 0), (0, -1, 0, 0)], False),
+            ([(0, 1, 1, 0), (0, 1, -1, 0), (0, 1, 0, 0)], True),
+        ],
+    )
+    def test_pointedness_of_lower_dimensional_cones(self, rays, pointed):
+        cone = G.Cone(rays)
+        assert not cone.is_full_dimensional
+        assert cone.is_pointed == pointed
 
     def test_redundant_ray_normalized_away(self):
         assert G.Cone([(1, 0), (0, 1), (1, 1)]).rays == ((0, 1), (1, 0))

@@ -219,6 +219,16 @@ class TestNewtonPolyhedron:
                 assert all(x >= 0 for x in normal)
 
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_newton_facets_are_integers(self, n):
+        rng = random.Random(n)
+        for _ in range(25):
+            gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+            gens = [g for g in gens if any(g)] or [(1,) * n]
+            for normal, c in M.MonomialIdeal(n, gens).newton_facets():
+                assert all(type(x) is int for x in normal) and type(c) is int
+
+
 class TestIntegralClosure:
     def test_adds_mixed_monomial(self):
         closed = M.MonomialIdeal(2, [(2, 0), (0, 2)]).integral_closure()

@@ -138,18 +138,23 @@ def test_colength_and_staircase_match_the_box(ideal):
 )
 def test_valuation_ideal_matches_the_box(weights, k):
     n = len(weights)
-    box = itertools.product(*[range(int(k / w) + 2) for w in weights])
+    box = list(itertools.product(*[range(int(k / w) + 2) for w in weights]))
     members = {u for u in box if linalg.dot(weights, u) >= k}
-    assert M.valuation_ideal(weights, k).gens == minimal_points(n, members)
+    ideal = M.valuation_ideal(weights, k)
+    assert ideal.gens == minimal_points(n, members)
+    # the column heights kept from the construction
+    assert ideal.staircase() == tuple(u for u in box if u not in members)
 
 
 @PROPERTY_SETTINGS
 @given(primary_ideals())
 def test_integral_closure_matches_the_box(ideal):
     poly = ideal.newton_polyhedron()
-    box = itertools.product(*[range(d + 1) for d in ideal.pure_degrees()])
+    box = list(itertools.product(*[range(d + 1) for d in ideal.pure_degrees()]))
     closed = ideal.integral_closure()
     assert closed.gens == minimal_points(ideal.n, {u for u in box if poly.contains(u)})
+    # the column heights kept from the construction
+    assert closed.staircase() == tuple(u for u in box if not poly.contains(u))
     assert closed.multiplicity() == ideal.multiplicity()
     assert closed.colength() <= ideal.colength()
 
