@@ -11,6 +11,7 @@ violation. Errors are machine-readable JSON on standard error.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -334,9 +335,15 @@ def _emit(args, report, csv_rows):
         sys.stdout.write(text)
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call: parsing never changes it, so
+    every later `main` call in the process reuses it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

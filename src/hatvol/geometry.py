@@ -8,11 +8,11 @@ independent rows, one cut per further row, adjacency read off zero sets
 held as bitmasks. For hulls and polyhedra the cone is the
 homogenization one dimension higher. A point set of lower affine
 dimension is flattened by a coordinate chart: the pivot columns of the
-row reduction of its differences, onto which it projects one-to-one.
-Degenerate hulls, triangulations and lower-dimensional cones work on the
-projected points and read their answers back by index, with no linear
-solve. Every other computation here (hulls, duals, volumes, lattice
-counts, the counting and Riemann-sum probes) runs over
+integer row echelon form of its differences, onto which it projects
+one-to-one. Degenerate hulls, triangulations and lower-dimensional cones
+work on the projected points and read their answers back by index, with
+no linear solve. Every other computation here (hulls, duals, volumes,
+lattice counts, the counting and Riemann-sum probes) runs over
 `fractions.Fraction`; no floating point enters this module.
 """
 
@@ -183,11 +183,11 @@ def convex_hull(points):
 
 
 def _chart(diffs):
-    """The pivot columns of the row reduction of ``diffs``: projecting
+    """The pivot columns of the row echelon form of ``diffs``: projecting
     onto these coordinates is one-to-one on the affine hull of points
     whose differences are ``diffs``, so facets, vertices and
     triangulations of the projected points are those of the points."""
-    return linalg._eliminate(diffs)[1]
+    return linalg._pivot_columns(diffs)
 
 
 def _project(point, chart):
@@ -390,9 +390,13 @@ def counting_error_probe(body, k_range, epsilon=Fraction(1, 20)):
 
     Reports every per-k error without smoothing, plus the least k in the
     range after which every error stays within epsilon (None if never).
-    Before the first count, each dilated prefix box and the running sum
-    of their sizes are checked against MAX_LATTICE_CELLS.
+    A negative epsilon is refused. Before the first count, each dilated
+    prefix box and the running sum of their sizes are checked against
+    MAX_LATTICE_CELLS.
     """
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise ValidationError("invalid-epsilon", f"epsilon must be nonnegative, got {epsilon}")
     ks = list(k_range)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError("invalid-range", "k_range must be nonempty and strictly increasing")
@@ -404,7 +408,6 @@ def counting_error_probe(body, k_range, epsilon=Fraction(1, 20)):
         _check_cells(cells, "a dilated box")
         total += cells
         _check_cells(total, "a counting probe")
-    epsilon = Fraction(epsilon)
     vol = volume(body)
     n = body.dim
     rows = []

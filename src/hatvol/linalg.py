@@ -1,8 +1,13 @@
-"""Small dense exact linear algebra over Fraction.
+"""Small dense exact linear algebra on integer and rational rows.
 
-Row counts here never exceed a handful, so plain Gaussian elimination
-is used throughout. Integer vectors are normalized to primitive form
-(gcd one, direction preserved).
+Row counts here never exceed a handful. Rank, pivot columns and
+determinants come from fraction-free elimination in plain ints
+(Bareiss, Math. Comp. 22, 1968): each row is first scaled by the lcm of
+its denominators, which leaves the pivot columns unchanged, and every
+update is divided exactly by the previous pivot. Only `solve_affine`
+and `nullspace`, which need the reduced rows themselves, row-reduce over
+`Fraction`. Integer vectors are normalized to primitive form (gcd one,
+direction preserved).
 """
 
 import math
@@ -19,13 +24,19 @@ def primitive(vec):
     return tuple(x // g for x in vec)
 
 
+def _scaled(vec):
+    """A rational vector times the positive lcm of its denominators, as a
+    list of ints, and that lcm."""
+    if all(type(x) is int for x in vec):
+        return list(vec), 1
+    fracs = [Fraction(x) for x in vec]
+    lcm = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (lcm // x.denominator) for x in fracs], lcm
+
+
 def clear_denominators(vec):
     """Scale a rational vector by the positive lcm of denominators to integers."""
-    lcm = 1
-    fracs = [Fraction(x) for x in vec]
-    for x in fracs:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return tuple(int(x * lcm) for x in fracs)
+    return tuple(_scaled(vec)[0])
 
 
 def dot(a, b):
@@ -56,32 +67,63 @@ def _eliminate(rows):
     return rows, pivots
 
 
+def _integer_rows(rows):
+    """Each row scaled to ints by the lcm of its denominators, and the
+    product of those scales."""
+    out, scale = [], 1
+    for row in rows:
+        ints, lcm = _scaled(row)
+        out.append(ints)
+        scale *= lcm
+    return out, scale
+
+
+def _bareiss(rows):
+    """Fraction-free row echelon form of integer rows, in place.
+
+    Returns (pivot columns, sign of the row swaps, last pivot). After
+    the k-th pivot every entry below it is a (k+1)-minor of the rows, so
+    the division by the previous pivot is exact (Sylvester's identity);
+    on a square matrix of full rank the last pivot is the signed
+    determinant.
+    """
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, len(rows)):
+            x = rows[i][c]
+            rows[i] = [(p * u - x * v) // prev for u, v in zip(rows[i], top)]
+        prev = p
+        pivots.append(c)
+    return pivots, sign, prev
+
+
+def _pivot_columns(rows):
+    """The pivot columns of the row echelon form of integer or rational rows."""
+    return _bareiss(_integer_rows(rows)[0])[0]
+
+
 def rank(rows):
-    if not rows:
-        return 0
-    _, pivots = _eliminate(rows)
-    return len(pivots)
+    return len(_pivot_columns(rows))
 
 
 def det(matrix):
-    """Exact determinant of a square Fraction matrix."""
-    n = len(matrix)
-    m = [list(map(Fraction, row)) for row in matrix]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
+    """Exact determinant of a square integer or rational matrix, as a Fraction."""
+    rows, scale = _integer_rows(matrix)
+    pivots, sign, last = _bareiss(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 def solve_affine(rows, rhs, dim):

@@ -229,11 +229,21 @@ class MonomialIdeal:
         return self._columns
 
     def power(self, m):
-        """The m-th power, generated by all m-fold sums of generators."""
+        """The m-th power, generated by all m-fold sums of generators.
+
+        Every partial sum lies in the box of exponents up to m times the
+        largest of each coordinate, so a power whose box has more than
+        MAX_BOX_CELLS cells is refused before the first sum."""
         if m < 1:
             raise ValidationError("invalid-exponent", "power exponent must be a positive integer")
         if m == 1:
             return self
+        size = math.prod(m * max(col) + 1 for col in zip(*self.gens))
+        if size > MAX_BOX_CELLS:
+            raise BudgetExceededError(
+                f"the exponent box of a {m}-th power has {size} cells, over the limit of {MAX_BOX_CELLS}",
+                cells=size, budget=MAX_BOX_CELLS,
+            )
         sums = set(self.gens)
         for _ in range(m - 1):
             sums = {tuple(a + b for a, b in zip(s, g)) for s in sums for g in self.gens}

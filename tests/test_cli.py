@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import hatvol
 from hatvol import acceptance
+from hatvol import cli
 from hatvol import geometry
 from hatvol import invariants
 from hatvol import monomials
-from hatvol.cli import main
+from hatvol.cli import build_parser, main
 
 
 @pytest.fixture
@@ -332,6 +333,16 @@ class TestErrorPaths:
             assert code == 2 and out == ""
             assert json.loads(err)["error"] == "not-q-gorenstein"
 
+    @pytest.mark.parametrize("epsilon", [("--epsilon", "-1"), ("--epsilon=-1/20",)])
+    def test_negative_epsilon_refused(self, capsys, workdir, epsilon):
+        # argparse takes "-1" as a value but "-1/20" only after "="
+        body = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
+        code, out, err = run(capsys, "lattice", "--body", body, "--k-range", "5,10", *epsilon)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in err
+        assert json.loads(lines[0])["error"] == "invalid-epsilon"
+
     def test_csv_unsupported(self, capsys, an2):
         code, _, err = run(capsys, "hvol", "--model", an2, "--format", "csv")
         assert code == 2
@@ -438,6 +449,56 @@ def test_fuzzed_documents_exit_cleanly(capsys, workdir, an2, x2y3, case):
             assert "Traceback" not in err
             (line,) = err.splitlines()
             assert "error" in json.loads(line)
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may leave
+    state in it that changes a later call's result."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def fresh(self, capsys, *argv):
+        cli._parser.cache_clear()
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("first,second", [
+        (("hatl", "--c", "1/8", "--k", "4", "--mode", "upper"), ("hatl", "--c", "1/8", "--k", "4")),
+        (("scan", "--c", "1/8", "--k-max", "4", "--format", "csv"), ("scan", "--c", "1/8", "--k-max", "4")),
+        (("hatl", "--c", "1/8", "--k", "four"), ("hatl", "--c", "1/8", "--k", "4")),
+        (("scan", "--k-max", "4", "--mode", "lower"), ("scan", "--k-max", "4")),
+    ])
+    def test_second_call_matches_a_fresh_one(self, capsys, an2, first, second):
+        def with_model(argv):
+            return [argv[0], "--model", an2, *argv[1:]]
+
+        code, expected, _ = self.fresh(capsys, *with_model(second))
+        assert code == 0
+        try:
+            run(capsys, *with_model(first))
+        except SystemExit as exc:  # argparse rejects bad arguments this way
+            assert exc.code == 2
+            capsys.readouterr()
+        code, out, _ = run(capsys, *with_model(second))
+        assert code == 0
+        assert result_of(out) == result_of(expected)
+        assert json.loads(out)["job"] == json.loads(expected)["job"]
+
+    def test_parser_built_once(self, capsys, an2, x2y3, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in (("mult", "--ideal", x2y3), ("hvol", "--model", an2), ("lct", "--model", an2, "--ideal", x2y3)):
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+        assert len(built) == 1
 
 
 class TestDeterminism:

@@ -272,6 +272,18 @@ class TestCountingProbe:
                 assert probe.error_at(k) <= probe.error_at(k // 2) + F(2 * body.dim, k)
 
 
+    def test_negative_epsilon_refused(self):
+        # refused before the cell caps, which this range would exceed
+        with pytest.raises(ValidationError) as info:
+            G.counting_error_probe(simplex(3), range(1, 1001), epsilon=-1)
+        assert info.value.code == "invalid-epsilon"
+
+    def test_zero_epsilon_allowed(self):
+        # the square's error (2k+1)/k^2 never reaches 0
+        probe = G.counting_error_probe(unit_square(), [5, 10], epsilon=0)
+        assert probe.epsilon == 0 and probe.k0 is None
+
+
 class TestRiemannGap:
     def test_identity_function(self):
         samples = {F(j, 4): F(j, 4) for j in range(5)}
@@ -394,3 +406,54 @@ class TestFacetKernel:
         with pytest.raises(InvariantViolationError) as info:
             G._extreme_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)
         assert info.value.code == "rank-deficient"
+
+
+def _cofactor_det(rows):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not rows:
+        return F(1)
+    return sum(
+        (-1) ** j * F(x) * _cofactor_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+@st.composite
+def mixed_matrices(draw, square=False):
+    """Int/Fraction matrices of at most 5 x 5, some rows zeroed, copied
+    or replaced by the sum of two others, so rank-deficient ones occur."""
+    n_rows = draw(st.integers(1, 5))
+    n_cols = n_rows if square else draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-4, 4), st.integers(1, 6)))
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    index = st.integers(0, n_rows - 1)
+    for op, i, j, k in draw(st.lists(st.tuples(st.sampled_from("zds"), index, index, index), max_size=2)):
+        if op == "z":
+            rows[i] = [0] * n_cols
+        elif op == "d":
+            rows[i] = list(rows[j])
+        else:
+            rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+class TestIntegerElimination:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(mixed_matrices())
+    def test_pivots_and_rank_match_fraction_elimination(self, rows):
+        before = [list(r) for r in rows]
+        pivots = linalg._eliminate(rows)[1]
+        assert linalg._pivot_columns(rows) == pivots
+        assert linalg.rank(rows) == len(pivots)
+        assert rows == before
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(mixed_matrices(square=True))
+    def test_det_matches_cofactor_expansion(self, rows):
+        value = linalg.det(rows)
+        assert isinstance(value, F)
+        assert value == _cofactor_det(rows)
+
+    def test_det_of_the_empty_matrix(self):
+        assert linalg.det([]) == 1 and linalg.rank([]) == 0

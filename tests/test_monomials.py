@@ -108,6 +108,13 @@ class TestPower:
         ideal = M.MonomialIdeal(2, [(2, 0), (1, 2), (0, 4)])
         assert ideal.power(1) == ideal
 
+    def test_power_over_the_box_cap_refused(self):
+        # m^100 in three variables spans 101^3 exponent cells, over the cap
+        with pytest.raises(BudgetExceededError) as info:
+            M.maximal_ideal(3).power(100)
+        assert info.value.details == {"cells": 101**3, "budget": M.MAX_BOX_CELLS}
+        assert info.value.exit_code == 3
+
     def test_antichain_reduction_on_input(self):
         # generators need not be minimal on input
         ideal = M.MonomialIdeal(2, [(1, 0), (0, 1), (2, 2), (1, 1)])
