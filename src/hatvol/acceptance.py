@@ -432,18 +432,20 @@ def _check_lct_against_lp(model, ideal):
     result = invariants.lct(model, ideal)
     costs = [1 - a for a in model.coeffs]
     lp = simplex.solve_covering(costs, ideal.gens)
-    weight = result.minimizing_weight
+    # the weight as integers over a positive common denominator
+    weight, den = linalg._scaled(result.minimizing_weight)
     pairings = [linalg.dot(g, weight) for g in ideal.gens]
     if not (
         result.value == lp.value
-        and linalg.dot(costs, weight) == lp.value
+        and Fraction(linalg.dot(costs, weight), den) == lp.value
         and all(w >= 0 for w in weight)
-        and all(p >= 1 for p in pairings)
-        and result.active_constraints == tuple(g for g, p in zip(ideal.gens, pairings) if p == 1)
+        and all(p >= den for p in pairings)
+        and result.active_constraints == tuple(g for g, p in zip(ideal.gens, pairings) if p == den)
     ):
         raise InvariantViolationError(
             "lct-path-disagreement",
-            f"linear program gave {lp.value} at {lp.weights}, Newton facets gave {result.value} at {weight}",
+            f"linear program gave {lp.value} at {lp.weights}, "
+            f"Newton facets gave {result.value} at {result.minimizing_weight}",
             gens=[list(g) for g in ideal.gens],
             coeffs=[str(a) for a in model.coeffs],
         )

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -264,8 +265,24 @@ _HANDLERS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser that raises ValidationError where argparse would
+    print its usage and exit, so a rejected argument is one JSON error
+    line like any other malformed input. Subparsers are built from the
+    same class. A negative number, rational ones such as -1/20 included,
+    is read as a value, not as a flag. Parsing leaves no state behind.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+    def error(self, message):
+        raise ValidationError("invalid-arguments", f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hatvol",
         description="Exact normalized volumes, thresholds and colengths of monomial and toric singularities.",
     )
@@ -343,8 +360,8 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args)
         settings = resolve_settings(args)

@@ -4,16 +4,17 @@ Convex bodies are stored by their vertices. Every facet system (of a
 hull, of a polyhedron with recession rays, of a cone) comes from one
 kernel, `_extreme_rays`, which finds the extreme rays of a dual cone by
 double description over integer normals: a simplicial start from
-independent rows, one cut per further row, adjacency read off zero sets
-held as bitmasks. For hulls and polyhedra the cone is the
-homogenization one dimension higher. A point set of lower affine
-dimension is flattened by a coordinate chart: the pivot columns of the
-integer row echelon form of its differences, onto which it projects
-one-to-one. Degenerate hulls, triangulations and lower-dimensional cones
-work on the projected points and read their answers back by index, with
-no linear solve. Every other computation here (hulls, duals, volumes,
-lattice counts, the counting and Riemann-sum probes) runs over
-`fractions.Fraction`; no floating point enters this module.
+independent rows, found by the fraction-free reduction of `linalg`, one
+cut per further row, adjacency read off zero sets held as bitmasks. For
+hulls and polyhedra the cone is the homogenization one dimension higher.
+A point set of lower affine dimension is flattened by a coordinate
+chart: the pivot columns of the integer row echelon form of its
+differences, onto which it projects one-to-one. Degenerate hulls,
+triangulations and lower-dimensional cones work on the projected points
+and read their answers back by index, with no linear solve. Every other
+computation here (hulls, duals, volumes, lattice counts, the counting
+and Riemann-sum probes) runs over `fractions.Fraction`; no floating
+point enters this module.
 """
 
 import itertools
@@ -548,58 +549,24 @@ class Cone:
 
 
 def _simplicial_start(rows, dim):
-    """The first dim linearly independent rows, found by fraction-free
-    Gauss-Jordan elimination, with the extreme rays of the simplicial
-    cone they cut out: ray i pairs positively with chosen row i and
-    vanishes on the others. None when the rows have rank below dim.
+    """The first dim linearly independent rows with the extreme rays of
+    the simplicial cone they cut out: ray i pairs positively with chosen
+    row i and vanishes on the others. None when the rows have rank below
+    dim.
 
-    Each reduced row r is kept with its combination c of the chosen rows
-    (r = sum c_j row_j) and both are divided by their common gcd. Once
-    every reduced row is p_j e_(col_j), ray i has coordinate c_j[i] / p_j
-    at col_j, scaled here by the positive lcm of the pivots.
+    The transposed rows are reduced beside an identity block by
+    `linalg._reduce`. Its pivot columns are the chosen rows, and the
+    right block E then meets them as E B^T = d I, where B holds the
+    chosen rows and d is the last pivot: row i of E, times the sign of d,
+    is ray i.
     """
-    basis = []  # [pivot column, reduced row, combination]
-    chosen = []
-    for index, row in enumerate(rows):
-        r = list(row)
-        c = [0] * dim
-        c[len(chosen)] = 1
-        for col, b, bc in basis:
-            x = r[col]
-            if x:
-                p = b[col]
-                r = [p * u - x * v for u, v in zip(r, b)]
-                c = [p * u - x * v for u, v in zip(c, bc)]
-        col = next((j for j, x in enumerate(r) if x), None)
-        if col is None:
-            continue
-        g = math.gcd(*r, *c)
-        r = [u // g for u in r]
-        c = [u // g for u in c]
-        for entry in basis:
-            _, b, bc = entry
-            x = b[col]
-            if x:
-                p = r[col]
-                b = [p * u - x * v for u, v in zip(b, r)]
-                bc = [p * u - x * v for u, v in zip(bc, c)]
-                g = math.gcd(*b, *bc)
-                entry[1] = [u // g for u in b]
-                entry[2] = [u // g for u in bc]
-        basis.append([col, r, c])
-        chosen.append(index)
-        if len(chosen) == dim:
-            break
-    else:
+    m = len(rows)
+    block = [[a[i] for a in rows] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    chosen, _, d = linalg._reduce(block)
+    if chosen[-1] >= m:
         return None
-    lcm = math.lcm(*(abs(b[col]) for col, b, _ in basis))
-    rays = []
-    for i in range(dim):
-        ray = [0] * dim
-        for col, b, bc in basis:
-            ray[col] = bc[i] * (lcm // b[col])
-        rays.append(linalg.primitive(ray))
-    return chosen, rays
+    sign = 1 if d > 0 else -1
+    return chosen, [linalg.primitive([sign * x for x in row[m:]]) for row in block]
 
 
 def _extreme_rays(normals, dim):

@@ -447,6 +447,21 @@ def _lct_floor(costs, gens):
     return best_p, best_q
 
 
+def _check_level_budget(n, k, mode, budgets):
+    """Refuse level k past the budget of its mode: the enumeration
+    budgets in exact mode, the fixed `monomials.UPPER_BUDGETS` ceiling in
+    upper mode (a dimension without one is refused past k = 1)."""
+    if mode == "exact":
+        monomials._check_enumeration_budget(n, k, budgets)
+    elif mode == "upper":
+        budget = monomials.UPPER_BUDGETS.get(n, 1)
+        if k > budget:
+            raise BudgetExceededError(
+                f"upper-mode scan for n={n} is budgeted at k <= {budget}, got k={k}",
+                n=n, k=k, budget=budget,
+            )
+
+
 def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
     """The normalized colength at level k: n! times the least
     lct^n * colength over ideals between the k-th power of the maximal
@@ -500,17 +515,12 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
         p, q = _lct_floor(costs, ideal.gens)
         return factor * p**n * ideal.colength(), (scale * q) ** n
 
+    _check_level_budget(n, k, mode, budgets)
     seed = None
     if mode == "exact":
         ideals = monomials.enumerate_staircases(n, k, min_colength=max(1, min_colength), budgets=budgets)
         seed = Fraction(factor * sum(costs) ** n * full, (scale * k) ** n)
     elif mode == "upper":
-        budget = monomials.UPPER_BUDGETS.get(n, 1)
-        if k > budget:
-            raise BudgetExceededError(
-                f"upper-mode scan for n={n} is budgeted at k <= {budget}, got k={k}",
-                n=n, k=k, budget=budget,
-            )
         ideals = _valuation_ideals(n, k, min_colength, DEFAULT_WEIGHT_RATIOS)
     else:
         raise ValidationError("invalid-mode", f"unknown mode {mode!r}")
@@ -585,13 +595,18 @@ def colength_convergence_scan(model, c, k_range, mode="exact", budgets=None, sta
     volume from below; a row falling under it would contradict the
     regular-point colength-multiplicity comparison and is reported as an
     internal invariant violation. ``stats`` (a ScanStats) sums the work
-    of every row.
+    of every row. A level past the budget of the mode is refused while
+    the range is read, before the first row and before a long range is
+    held in memory.
     """
-    ks = list(k_range)
+    reference = hvol_closed_form(model).value
+    ks = []
+    for k in k_range:
+        _check_level_budget(model.n, k, mode, budgets)
+        ks.append(k)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError("invalid-range", "k_range must be nonempty and strictly increasing")
     c = parse_rational(c)
-    reference = hvol_closed_form(model).value
     rows = []
     for k in ks:
         value, ideal = normalized_colength(model, c, k, mode=mode, budgets=budgets, stats=stats)

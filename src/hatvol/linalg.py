@@ -1,13 +1,16 @@
 """Small dense exact linear algebra on integer and rational rows.
 
-Row counts here never exceed a handful. Rank, pivot columns and
-determinants come from fraction-free elimination in plain ints
-(Bareiss, Math. Comp. 22, 1968): each row is first scaled by the lcm of
-its denominators, which leaves the pivot columns unchanged, and every
-update is divided exactly by the previous pivot. Only `solve_affine`
-and `nullspace`, which need the reduced rows themselves, row-reduce over
-`Fraction`. Integer vectors are normalized to primitive form (gcd one,
-direction preserved).
+Row counts here never exceed a handful. Every elimination is one
+fraction-free Gauss-Jordan reduction in plain ints (Edmonds, J. Res.
+NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968): each row is first scaled
+by the lcm of its denominators, which changes neither the pivot columns
+nor the solutions, and every update is divided exactly by the previous
+pivot. After the reduction every pivot column holds the last pivot d in
+its pivot row and zeros elsewhere, so rank, pivot columns, determinants,
+solutions and nullspaces are read off the integer rows over d. The
+simplex method of `simplex` pivots its tableau with the same step.
+Integer vectors are normalized to primitive form (gcd one, direction
+preserved).
 """
 
 import math
@@ -43,30 +46,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _eliminate(rows):
-    """Row-reduce a list of Fraction rows in place; returns pivot column list."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def _integer_rows(rows):
     """Each row scaled to ints by the lcm of its denominators, and the
     product of those scales."""
@@ -78,14 +57,32 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _bareiss(rows):
-    """Fraction-free row echelon form of integer rows, in place.
+def _pivot(rows, r, c, prev):
+    """One fraction-free Gauss-Jordan step on integer rows, in place, at
+    the nonzero entry p = rows[r][c]; returns p.
 
-    Returns (pivot columns, sign of the row swaps, last pivot). After
-    the k-th pivot every entry below it is a (k+1)-minor of the rows, so
-    the division by the previous pivot is exact (Sylvester's identity);
-    on a square matrix of full rank the last pivot is the signed
-    determinant.
+    Every row but r becomes (p * row - row[c] * rows[r]) / prev, where
+    prev is the pivot of the step before (1 before the first). Each entry
+    is then a minor of the rows first given, so the division is exact
+    (Sylvester's identity).
+    """
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            x = row[c]
+            rows[i] = [(p * u - x * v) // prev for u, v in zip(row, top)]
+    return p
+
+
+def _reduce(rows):
+    """Fraction-free reduced row echelon form of integer rows, in place.
+
+    Pivots go column by column to the first row at or below the next
+    pivot row with a nonzero entry there. Returns (pivot columns, sign of
+    the row swaps, last pivot d). Then row r holds d in the r-th pivot
+    column and every other row a zero there; on a square matrix of full
+    rank, sign * d is the determinant.
     """
     pivots, sign, prev = [], 1, 1
     for c in range(len(rows[0]) if rows else 0):
@@ -98,19 +95,14 @@ def _bareiss(rows):
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
             sign = -sign
-        top = rows[r]
-        p = top[c]
-        for i in range(r + 1, len(rows)):
-            x = rows[i][c]
-            rows[i] = [(p * u - x * v) // prev for u, v in zip(rows[i], top)]
-        prev = p
+        prev = _pivot(rows, r, c, prev)
         pivots.append(c)
     return pivots, sign, prev
 
 
 def _pivot_columns(rows):
     """The pivot columns of the row echelon form of integer or rational rows."""
-    return _bareiss(_integer_rows(rows)[0])[0]
+    return _reduce(_integer_rows(rows)[0])[0]
 
 
 def rank(rows):
@@ -120,7 +112,7 @@ def rank(rows):
 def det(matrix):
     """Exact determinant of a square integer or rational matrix, as a Fraction."""
     rows, scale = _integer_rows(matrix)
-    pivots, sign, last = _bareiss(rows)
+    pivots, sign, last = _reduce(rows)
     if len(pivots) < len(rows):
         return Fraction(0)
     return Fraction(sign * last, scale)
@@ -129,32 +121,30 @@ def det(matrix):
 def solve_affine(rows, rhs, dim):
     """Solve a (possibly overdetermined) linear system exactly.
 
-    Returns the unique solution as a Fraction tuple, or None when the
-    system is inconsistent or underdetermined.
+    Entries may be ints, Fractions or floats, each taken at its exact
+    value. Returns the unique solution as a Fraction tuple, or None when
+    the system is inconsistent or underdetermined.
     """
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    reduced, pivots = _eliminate(aug)
+    aug = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])[0]
+    pivots, _, d = _reduce(aug)
     if dim in pivots:
         return None  # pivot in the rhs column: inconsistent
     if len(pivots) < dim:
         return None  # underdetermined
-    x = [Fraction(0)] * dim
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][dim]
-    return tuple(x)
+    return tuple(Fraction(row[dim], d) for row in aug[:dim])
 
 
 def nullspace(rows, dim):
     """Basis of the right nullspace of the given rows, as Fraction tuples."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    reduced, pivots = _eliminate([list(r) for r in rows])
-    free = [c for c in range(dim) if c not in pivots]
+    reduced = _integer_rows(rows)[0]
+    pivots, _, d = _reduce(reduced)
     basis = []
-    for f in free:
+    for f in range(dim):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * dim
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
+        for row, c in zip(reduced, pivots):
+            v[c] = Fraction(-row[f], d)
         basis.append(tuple(v))
     return basis

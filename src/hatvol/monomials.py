@@ -375,6 +375,18 @@ def _with_columns(n, dims, cells, below, heights):
     return ideal
 
 
+def _check_enumeration_budget(n, k, budgets=None):
+    """Refuse an exhaustive enumeration at level k past the budget for n
+    (``budgets``, by default ENUM_BUDGETS); a dimension without a budget
+    passes."""
+    budget = (ENUM_BUDGETS if budgets is None else budgets).get(n)
+    if budget is not None and k > budget:
+        raise BudgetExceededError(
+            f"enumeration for n={n} is budgeted at k <= {budget}, got k={k}",
+            n=n, k=k, budget=budget,
+        )
+
+
 def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None):
     """Yield every monomial ideal with m^k <= a <= m and colength >= min_colength.
 
@@ -386,17 +398,11 @@ def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None)
     to a <= m^j. Refuses (rather than truncates) when k exceeds the
     configured budget.
     """
-    budgets = dict(ENUM_BUDGETS) if budgets is None else budgets
     if n not in (2, 3):
         raise ValidationError("invalid-dimension", "exhaustive enumeration supports n in {2, 3}")
     if k < 1:
         raise ValidationError("invalid-exponent", "k must be a positive integer")
-    budget = budgets.get(n)
-    if budget is not None and k > budget:
-        raise BudgetExceededError(
-            f"enumeration for n={n} is budgeted at k <= {budget}, got k={k}",
-            n=n, k=k, budget=budget,
-        )
+    _check_enumeration_budget(n, k, budgets)
     floor_j = contain_power if contain_power is not None else 0
     # cells with |u| >= k keep height 0; they let the corner reader see
     # the generators with last exponent 0

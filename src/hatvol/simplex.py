@@ -7,10 +7,11 @@ the pair with boundary a; `invariants.lct` reads the same optimum off
 the Newton facets, and `verify` checks the two against each other.
 
 The primal simplex method runs on the dual (which has a feasible slack
-basis), entirely over Fraction, with Bland's anti-cycling rule; the
-optimal primal vertex is read off the reduced costs of the slack
-columns. A direct vertex-enumeration solver is provided as an
-independent cross-check for small systems.
+basis) with Bland's anti-cycling rule, on an all-integer tableau held
+over the last pivot and advanced by the fraction-free step of `linalg`
+(Edmonds 1967; Bareiss 1968); the optimal primal vertex is read off the
+reduced costs of the slack columns. A direct vertex-enumeration solver
+is provided as an independent cross-check for small systems.
 """
 
 import itertools
@@ -31,10 +32,13 @@ class LinearProgramResult:
 
 
 def _validate(costs, rows):
-    costs = [Fraction(c) for c in costs]
+    """Refuse what is not a covering program. Returns the costs times the
+    positive lcm of their denominators, as ints, that lcm, and the rows,
+    int entries kept and any other taken as a Fraction."""
+    costs, scale = linalg._scaled(costs)
     if any(c <= 0 for c in costs):
         raise ValidationError("invalid-cost", "cost coefficients must be strictly positive")
-    mat = [tuple(Fraction(x) for x in row) for row in rows]
+    mat = [tuple(x if type(x) is int else Fraction(x) for x in row) for row in rows]
     if not mat:
         raise ValidationError("empty-input", "no covering constraints")
     for row in mat:
@@ -44,69 +48,60 @@ def _validate(costs, rows):
             raise ValidationError("invalid-constraint", "covering rows must be nonnegative")
         if all(x == 0 for x in row):
             raise ValidationError("invalid-constraint", "zero covering row makes the program infeasible")
-    return costs, mat
+    return costs, scale, mat
 
 
-def _result(costs, mat, weights):
-    value = sum(c * w for c, w in zip(costs, weights))
-    active = tuple(i for i, row in enumerate(mat) if linalg.dot(row, weights) == 1)
-    return LinearProgramResult(value=value, weights=tuple(weights), active=active)
+def _result(costs, scale, mat, numerators, d):
+    """The result at the weights numerators / d (d > 0), for the scaled
+    costs of `_validate`."""
+    value = Fraction(linalg.dot(costs, numerators), scale * d)
+    active = tuple(i for i, row in enumerate(mat) if linalg.dot(row, numerators) == d)
+    return LinearProgramResult(value=value, weights=tuple(Fraction(x, d) for x in numerators), active=active)
 
 
 def solve_covering(costs, rows):
-    """Exact optimum via simplex on the dual with Bland's rule."""
-    costs, mat = _validate(costs, rows)
+    """Exact optimum via simplex on the dual with Bland's rule.
+
+    The tableau has one row per weight and the objective row last; it is
+    held over the last pivot d and advanced by `linalg._pivot`. The costs
+    come scaled to integers from `_validate`, which scales every ratio
+    alike, and each row is scaled to integers once, which scales its
+    slack column with it, so the reduced costs are unchanged. Every
+    pivot is positive, so d is. Ratios are compared by cross-multiplying.
+    """
+    costs, scale, mat = _validate(costs, rows)
     n = len(costs)
     m = len(mat)
-    width = m + n + 1
-    tableau = []
-    for j in range(n):
-        row = [mat[i][j] for i in range(m)] + [Fraction(int(j == t)) for t in range(n)] + [costs[j]]
-        tableau.append(row)
+    rhs = m + n  # the column of the right-hand side
+    tableau = [
+        linalg._scaled([row[j] for row in mat] + [int(j == t) for t in range(n)] + [costs[j]])[0]
+        for j in range(n)
+    ]
+    tableau.append([-1] * m + [0] * (n + 1))
     basis = [m + j for j in range(n)]
-
-    def objective(col):
-        return Fraction(1) if col < m else Fraction(0)
-
+    d = 1
     while True:
-        zbar = []
-        for col in range(width - 1):
-            z = sum(objective(basis[r]) * tableau[r][col] for r in range(n)) - objective(col)
-            zbar.append(z)
-        entering = next((col for col in range(width - 1) if zbar[col] < 0), None)
+        objective = tableau[n]
+        entering = next((col for col in range(rhs) if objective[col] < 0), None)
         if entering is None:
             break
         leaving = None
-        best_ratio = None
         for r in range(n):
             coef = tableau[r][entering]
-            if coef > 0:
-                ratio = tableau[r][width - 1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+            if coef <= 0:
+                continue
+            if leaving is not None:
+                ahead = tableau[r][rhs] * tableau[leaving][entering] - tableau[leaving][rhs] * coef
+                if ahead > 0 or (ahead == 0 and basis[r] > basis[leaving]):
+                    continue
+            leaving = r
         if leaving is None:
             raise InvariantViolationError(
                 "unbounded-dual", "dual unbounded although the covering program is feasible"
             )
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [x / pivot for x in tableau[leaving]]
-        for r in range(n):
-            if r != leaving and tableau[r][entering] != 0:
-                f = tableau[r][entering]
-                tableau[r] = [x - f * y for x, y in zip(tableau[r], tableau[leaving])]
+        d = linalg._pivot(tableau, leaving, entering, d)
         basis[leaving] = entering
-
-    weights = []
-    for j in range(n):
-        col = m + j
-        z = sum(objective(basis[r]) * tableau[r][col] for r in range(n))
-        weights.append(z)
-    return _result(costs, mat, weights)
+    return _result(costs, scale, mat, tableau[n][m:rhs], d)
 
 
 def solve_covering_by_vertices(costs, rows):
@@ -116,7 +111,7 @@ def solve_covering_by_vertices(costs, rows):
     result is the same optimum with a deterministic (lexicographically
     least) minimizer among ties.
     """
-    costs, mat = _validate(costs, rows)
+    costs, scale, mat = _validate(costs, rows)
     if len(mat) > VERTEX_ENUMERATION_LIMIT:
         raise ValidationError(
             "too-many-constraints",
@@ -138,9 +133,9 @@ def solve_covering_by_vertices(costs, rows):
             continue
         if any(linalg.dot(row, w) < 1 for row in mat):
             continue
-        value = sum(c * x for c, x in zip(costs, w))
+        value = linalg.dot(costs, w)
         if best is None or (value, w) < best:
             best = (value, w)
     if best is None:
         raise InvariantViolationError("no-vertex", "feasible covering program without a basic optimum")
-    return _result(costs, mat, best[1])
+    return _result(costs, scale, mat, *linalg._scaled(best[1]))

@@ -213,6 +213,24 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "enumeration-budget-exceeded"
 
+    @pytest.mark.parametrize("n,mode,k_max,budget", [
+        (2, "exact", "13", 12),
+        (2, "exact", "10000000", 12),
+        (3, "upper", "6", 5),
+        (3, "exact", "10000000", 5),
+    ])
+    def test_over_budget_scan_refused_before_its_first_row(self, capsys, workdir, n, mode, k_max, budget):
+        # the rows up to the budget would take seconds; the refusal names
+        # the first level past it, as a row-by-row scan would
+        model = write(workdir / "space.json", {"type": "monomial_pair", "n": n, "coeffs": ["0"] * n})
+        started = time.perf_counter()
+        code, out, err = run(capsys, "scan", "--model", model, "--k-max", k_max, "--mode", mode)
+        assert time.perf_counter() - started < 1
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "enumeration-budget-exceeded"
+        assert (error["n"], error["k"], error["budget"]) == (n, budget + 1, budget)
+
     def test_huge_exponent_colength_refused_promptly(self, capsys, workdir):
         ideal = write(workdir / "huge.json", {"n": 2, "gens": [[100000000, 0], [0, 1]]})
         started = time.perf_counter()
@@ -333,9 +351,8 @@ class TestErrorPaths:
             assert code == 2 and out == ""
             assert json.loads(err)["error"] == "not-q-gorenstein"
 
-    @pytest.mark.parametrize("epsilon", [("--epsilon", "-1"), ("--epsilon=-1/20",)])
+    @pytest.mark.parametrize("epsilon", [("--epsilon", "-1"), ("--epsilon=-1/20",), ("--epsilon", "-1/20")])
     def test_negative_epsilon_refused(self, capsys, workdir, epsilon):
-        # argparse takes "-1" as a value but "-1/20" only after "="
         body = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
         code, out, err = run(capsys, "lattice", "--body", body, "--k-range", "5,10", *epsilon)
         assert code == 2 and out == ""
@@ -449,6 +466,57 @@ def test_fuzzed_documents_exit_cleanly(capsys, workdir, an2, x2y3, case):
             assert "Traceback" not in err
             (line,) = err.splitlines()
             assert "error" in json.loads(line)
+
+
+FUZZ_ARGVS = [
+    ["hatl", "--model", "an2.json", "--c", "1/8", "--k", "3"],
+    ["scan", "--model", "an2.json", "--c", "1/8", "--k-min", "2", "--k-max", "3"],
+    ["lct", "--model", "an2.json", "--ideal", "x2y3.json"],
+    ["mult", "--ideal", "x2y3.json", "--tol", "0.5"],
+    ["qbound", "--model", "an2.json", "--q", "2"],
+    ["lattice", "--body", "square.json", "--k-range", "1:2", "--epsilon", "1/20"],
+]
+
+
+def _option_values(argv, names):
+    return [i + 1 for i, x in enumerate(argv) if x in names]
+
+
+@st.composite
+def fuzzed_argvs(draw):
+    """A valid argument list with one fault: a bad integer, an unknown
+    flag, its first (required) option dropped, or a negative fraction as
+    the value of a rational option. Returns the fault and the list."""
+    fault = draw(st.sampled_from(["integer", "flag", "missing", "negative"]))
+    names = {"integer": ("--k", "--k-min", "--k-max", "--q"), "negative": ("--c", "--epsilon")}.get(fault, ())
+    argv = list(draw(st.sampled_from([a for a in FUZZ_ARGVS if not names or _option_values(a, names)])))
+    if fault == "integer":
+        argv[draw(st.sampled_from(_option_values(argv, names)))] = draw(
+            st.sampled_from(["four", "1.5", "", "1/2", "0x3", "-", "3e2"])
+        )
+    elif fault == "flag":
+        flag = draw(st.sampled_from(["--bogus", "-z", "--k-maximum", "--suite=fast", "--format=xml"]))
+        argv.insert(draw(st.integers(1, len(argv))), flag)
+    elif fault == "missing":
+        del argv[1:3]
+    else:
+        argv[draw(st.sampled_from(_option_values(argv, names)))] = draw(st.sampled_from(["-1/20", "-3/4", "-1"]))
+    return fault, argv
+
+
+@settings(
+    derandomize=True, max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(fuzzed_argvs())
+def test_fuzzed_arguments_give_one_json_error(capsys, workdir, an2, x2y3, case):
+    fault, argv = case
+    write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err, (argv, err)
+    (line,) = err.splitlines()
+    # argparse refuses the first three faults; a negative fraction is
+    # parsed as a value and refused by the command
+    assert (json.loads(line)["error"] == "invalid-arguments") == (fault != "negative"), (argv, err)
 
 
 class TestParserReuse:

@@ -438,12 +438,61 @@ def mixed_matrices(draw, square=False):
     return rows
 
 
+def _fraction_eliminate(rows):
+    """Reference Gauss-Jordan reduction over Fraction: the reduced rows,
+    each with 1 at its pivot, and the pivot columns."""
+    rows = [list(map(F, r)) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _fraction_solve(rows, rhs, dim):
+    """Reference `solve_affine` on `_fraction_eliminate`."""
+    reduced, pivots = _fraction_eliminate([list(row) + [b] for row, b in zip(rows, rhs)])
+    if dim in pivots or len(pivots) < dim:
+        return None
+    x = [F(0)] * dim
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][dim]
+    return tuple(x)
+
+
+def _fraction_nullspace(rows, dim):
+    """Reference `nullspace` on `_fraction_eliminate`, for nonempty rows."""
+    reduced, pivots = _fraction_eliminate(rows)
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        v = [F(0)] * dim
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
 class TestIntegerElimination:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(mixed_matrices())
     def test_pivots_and_rank_match_fraction_elimination(self, rows):
         before = [list(r) for r in rows]
-        pivots = linalg._eliminate(rows)[1]
+        pivots = _fraction_eliminate(rows)[1]
         assert linalg._pivot_columns(rows) == pivots
         assert linalg.rank(rows) == len(pivots)
         assert rows == before
@@ -457,3 +506,34 @@ class TestIntegerElimination:
 
     def test_det_of_the_empty_matrix(self):
         assert linalg.det([]) == 1 and linalg.rank([]) == 0
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(mixed_matrices())
+    def test_solve_and_nullspace_match_fraction_elimination(self, rows):
+        # the last column is the right-hand side: with up to 5 rows over
+        # up to 4 unknowns, overdetermined, inconsistent and
+        # underdetermined systems all occur
+        assume(len(rows[0]) >= 2)
+        before = [list(r) for r in rows]
+        dim = len(rows[0]) - 1
+        lhs, rhs = [r[:dim] for r in rows], [r[dim] for r in rows]
+        expected = _fraction_solve(lhs, rhs, dim)
+        assert linalg.solve_affine(lhs, rhs, dim) == expected
+        basis = linalg.nullspace(rows, dim + 1)
+        assert basis == _fraction_nullspace(rows, dim + 1)
+        assert all(type(x) is F for v in basis for x in v)
+        assert rows == before
+
+    def test_float_kkt_system(self):
+        # the system [H m; m^T 0] of a Newton step on the slice <m, xi> = 1,
+        # with float Hessian and gradient and a Fraction covector: solved
+        # at the exact values of the floats
+        hess = [[2.718281828459045, 0.1], [0.1, 3.0e-3]]
+        gradient = [0.5, -1.25e-7]
+        m = [F(1, 3), F(2, 3)]
+        rows = [row + [mi] for row, mi in zip(hess, m)] + [list(m) + [0]]
+        rhs = [-g for g in gradient] + [0]
+        solution = linalg.solve_affine(rows, rhs, 3)
+        assert solution == _fraction_solve(rows, rhs, 3)
+        assert all(type(x) is F for x in solution)
+        assert [sum(F(a) * x for a, x in zip(row, solution)) for row in rows] == [F(b) for b in rhs]
