@@ -270,10 +270,12 @@ class _ArgumentParser(argparse.ArgumentParser):
     print its usage and exit, so a rejected argument is one JSON error
     line like any other malformed input. Subparsers are built from the
     same class. A negative number, rational ones such as -1/20 included,
-    is read as a value, not as a flag. Parsing leaves no state behind.
+    is read as a value, not as a flag, and a flag must be spelled in full
+    (--mode is not --model). Parsing leaves no state behind.
     """
 
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 

@@ -11,10 +11,12 @@ A point set of lower affine dimension is flattened by a coordinate
 chart: the pivot columns of the integer row echelon form of its
 differences, onto which it projects one-to-one. Degenerate hulls,
 triangulations and lower-dimensional cones work on the projected points
-and read their answers back by index, with no linear solve. Every other
-computation here (hulls, duals, volumes, lattice counts, the counting
-and Riemann-sum probes) runs over `fractions.Fraction`; no floating
-point enters this module.
+and read their answers back by index, with no linear solve. One rank
+test, `_vertices`, finds vertices and extreme rays; one fan, `_fan`,
+from the least vertex (no centroid) triangulates every hull, volumes
+and barycenters included. Everything else (hulls, duals, volumes,
+lattice counts, the counting and Riemann-sum probes) runs over
+`fractions.Fraction`; no floating point enters this module.
 """
 
 import itertools
@@ -35,11 +37,6 @@ MAX_LATTICE_CELLS = 10**6
 
 def _as_point(p):
     return tuple(Fraction(x) for x in p)
-
-
-def _centroid(points):
-    n = len(points)
-    return tuple(sum(c) / n for c in zip(*points))
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +115,16 @@ class ConvexBody:
         return volume(self)
 
     def barycenter(self):
-        """Exact barycenter (uniform mass), via the same triangulation as volume."""
+        """Exact barycenter (uniform mass), over the same fan as volume."""
         if not self.is_full_dimensional:
             raise ValidationError("degenerate-body", "barycenter implemented for full-dimensional bodies")
         total = Fraction(0)
         weighted = [Fraction(0)] * self.dim
-        for simplex in _full_triangulation(self):
-            mat = [[p[i] - simplex[0][i] for i in range(self.dim)] for p in simplex[1:]]
-            vol = abs(linalg.det(mat))
-            c = _centroid(simplex)
-            total += vol
+        for simplex, det in _simplices(self):
+            total += det
             for i in range(self.dim):
-                weighted[i] += vol * c[i]
-        return tuple(w / total for w in weighted)
+                weighted[i] += det * sum(p[i] for p in simplex)
+        return tuple(w / (total * (self.dim + 1)) for w in weighted)
 
     def lattice_points(self, k):
         return lattice_points(self, k)
@@ -163,8 +157,8 @@ def convex_hull(points):
 
     if affine_dim == dim:
         facets = _hull_facets(pts)
-        vertices = _extract_vertices(pts, facets, dim)
-        return ConvexBody(dim, tuple(sorted(vertices)), tuple(facets), (), dim)
+        vertices = tuple(pts[i] for i in _vertices(pts, facets, dim))
+        return ConvexBody(dim, vertices, tuple(facets), (), dim)
 
     # degenerate: hull of the points in chart coordinates, read back
     normals = [linalg.primitive(linalg.clear_denominators(n)) for n in linalg.nullspace(diffs, dim)]
@@ -211,13 +205,16 @@ def _hull_facets(points):
     return sorted(facets)
 
 
-def _extract_vertices(pts, facets, dim):
-    vertices = []
-    for p in pts:
-        active = [f[0] for f in facets if linalg.dot(f[0], p) == f[1]]
-        if len(active) >= dim and linalg.rank(active) == dim:
-            vertices.append(p)
-    return vertices
+def _vertices(points, facets, rank):
+    """Indices of the points whose active facets <a, x> = b have normals
+    of the given rank: the vertices of a hull of that dimension, or the
+    extreme rays of a cone with facets (a, 0) when rank is dim - 1."""
+    out = []
+    for i, p in enumerate(points):
+        active = [a for a, b in facets if linalg.dot(a, p) == b]
+        if len(active) >= rank and linalg.rank(active) == rank:
+            out.append(i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +224,8 @@ def _extract_vertices(pts, facets, dim):
 def _triangulate_indices(points, d):
     """Triangulate the hull of ``points`` (affine dimension d) into index tuples.
 
-    Every simplex uses only input points: the hull is fanned from its
-    lexicographically least vertex in chart coordinates over
-    triangulations of the opposite facets.
+    Every simplex uses only input points. A segment is its two extreme
+    points; from d = 2 on, the points are charted and fanned by `_fan`.
     """
     if d == 0:
         return [(0,)]
@@ -244,44 +240,41 @@ def _triangulate_indices(points, d):
         return [(keyed[0], keyed[-1])]
     chart = _chart([tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]])
     coords = [_project(p, chart) for p in points]
-    facets = _hull_facets(set(coords))
-    vertex_idx = [
-        i
-        for i in range(len(points))
-        if linalg.rank([f[0] for f in facets if linalg.dot(f[0], coords[i]) == f[1]]) == d
-    ]
-    apex = min(vertex_idx, key=lambda i: coords[i])
+    return _fan(coords, _hull_facets(set(coords)), d)
+
+
+def _fan(points, facets, d):
+    """Triangulate the full-dimensional hull of ``points`` in R^d, whose
+    facets are given, into index tuples: the hull is fanned from its
+    lexicographically least vertex over triangulations of the facets
+    that do not pass through it."""
+    vertex_idx = _vertices(points, facets, d)
+    apex = min(vertex_idx, key=lambda i: points[i])
     simplices = []
     for normal, rhs in facets:
-        if linalg.dot(normal, coords[apex]) == rhs:
+        if linalg.dot(normal, points[apex]) == rhs:
             continue
-        face_idx = [i for i in vertex_idx if linalg.dot(normal, coords[i]) == rhs]
-        face_pts = [coords[i] for i in face_idx]
-        for sub in _triangulate_indices(face_pts, d - 1):
+        face_idx = [i for i in vertex_idx if linalg.dot(normal, points[i]) == rhs]
+        for sub in _triangulate_indices([points[i] for i in face_idx], d - 1):
             simplices.append((apex,) + tuple(face_idx[j] for j in sub))
     return simplices
 
 
-def _full_triangulation(body):
-    """Triangulate a full-dimensional body from its interior centroid."""
-    center = _centroid(body.vertices)
-    simplices = []
-    for normal, rhs in body.facets:
-        face = [v for v in body.vertices if linalg.dot(normal, v) == rhs]
-        for idx in _triangulate_indices(face, body.dim - 1):
-            simplices.append((center,) + tuple(face[i] for i in idx))
-    return simplices
+def _simplices(body):
+    """Each simplex of the fan of a full-dimensional body over its own
+    facets, as its corners, with |det| of its edges (dim! times its volume)."""
+    vertices = body.vertices
+    for idx in _fan(vertices, body.facets, body.dim):
+        simplex = [vertices[i] for i in idx]
+        apex = simplex[0]
+        yield simplex, abs(linalg.det([[x - y for x, y in zip(p, apex)] for p in simplex[1:]]))
 
 
 def volume(body):
     """Exact Euclidean volume; zero (degenerate) for lower-dimensional bodies."""
     if not body.is_full_dimensional:
         return Fraction(0)
-    total = Fraction(0)
-    for simplex in _full_triangulation(body):
-        mat = [[p[i] - simplex[0][i] for i in range(body.dim)] for p in simplex[1:]]
-        total += abs(linalg.det(mat))
-    return total / math.factorial(body.dim)
+    return sum(det for _, det in _simplices(body)) / math.factorial(body.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +496,7 @@ class Cone:
             interior = tuple(sum(col) for col in zip(*dual)) if dual else None
             self._pointed = bool(dual) and all(linalg.dot(interior, r) > 0 for r in prim)
             if self._pointed:
-                prim = [
-                    r
-                    for r in prim
-                    if linalg.rank([d for d in dual if linalg.dot(d, r) == 0]) == dim - 1
-                ]
+                prim = [prim[i] for i in _vertices(prim, [(d, 0) for d in dual], dim - 1)]
         self.rays = tuple(sorted(prim))
 
     @property

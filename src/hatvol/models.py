@@ -227,7 +227,7 @@ def toric_kss_oracle(polytope):
 
     The input is the anticanonical moment polytope; the verdict is True
     exactly when its barycenter coincides with its unique interior
-    lattice point.
+    lattice point, found by a scan of at most geometry.MAX_LATTICE_CELLS cells.
     """
     if not isinstance(polytope, geometry.ConvexBody):
         polytope = geometry.convex_hull(polytope)
@@ -236,6 +236,7 @@ def toric_kss_oracle(polytope):
     interior = []
     box = [polytope.coordinate_range(axis) for axis in range(polytope.dim)]
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
+    geometry._check_cells(math.prod(len(r) for r in ranges), "an interior-point box")
     for u in itertools.product(*ranges):
         if polytope.contains(u, strict=True):
             interior.append(u)

@@ -360,6 +360,27 @@ class TestErrorPaths:
         assert len(lines) == 1 and "Traceback" not in err
         assert json.loads(lines[0])["error"] == "invalid-epsilon"
 
+    @pytest.mark.parametrize("argv", [
+        ("hvol", "--mode", "upper", "--model", "an2.json"),
+        ("mult", "--id", "x2y3.json"),
+    ])
+    def test_abbreviated_flag_refused(self, capsys, an2, x2y3, argv):
+        # a prefix of a flag is not that flag: --mode is not read as --model
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-arguments"
+
+    def test_qbound_interior_box_over_the_cell_cap_refused(self, capsys, workdir):
+        polytope = [[-1, -1], [3000, -1], [-1, 3000]]
+        model = write(workdir / "big.json", {"type": "fano_cone", "polytope": polytope})
+        started = time.perf_counter()
+        code, out, err = run(capsys, "qbound", "--model", model, "--q", "1")
+        assert time.perf_counter() - started < 1
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "enumeration-budget-exceeded"
+        assert (error["cells"], error["budget"]) == (3002**2, geometry.MAX_LATTICE_CELLS)
+
     def test_csv_unsupported(self, capsys, an2):
         code, _, err = run(capsys, "hvol", "--model", an2, "--format", "csv")
         assert code == 2
@@ -485,8 +506,9 @@ def _option_values(argv, names):
 @st.composite
 def fuzzed_argvs(draw):
     """A valid argument list with one fault: a bad integer, an unknown
-    flag, its first (required) option dropped, or a negative fraction as
-    the value of a rational option. Returns the fault and the list."""
+    flag (an abbreviation of a real one among them), its first (required)
+    option dropped, or a negative fraction as the value of a rational
+    option. Returns the fault and the list."""
     fault = draw(st.sampled_from(["integer", "flag", "missing", "negative"]))
     names = {"integer": ("--k", "--k-min", "--k-max", "--q"), "negative": ("--c", "--epsilon")}.get(fault, ())
     argv = list(draw(st.sampled_from([a for a in FUZZ_ARGVS if not names or _option_values(a, names)])))
@@ -495,7 +517,10 @@ def fuzzed_argvs(draw):
             st.sampled_from(["four", "1.5", "", "1/2", "0x3", "-", "3e2"])
         )
     elif fault == "flag":
-        flag = draw(st.sampled_from(["--bogus", "-z", "--k-maximum", "--suite=fast", "--format=xml"]))
+        flag = draw(st.sampled_from([
+            "--bogus", "-z", "--k-maximum", "--suite=fast", "--format=xml",
+            "--mod=an2.json", "--id=x2y3.json", "--epsil=1/20",
+        ]))
         argv.insert(draw(st.integers(1, len(argv))), flag)
     elif fault == "missing":
         del argv[1:3]
@@ -611,6 +636,8 @@ PINNED_INPUTS = {
         ],
     },
     "orthant4.json": {"type": "toric", "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    "blowup.json": {"type": "fano_cone", "polytope": [[-1, -1], [2, -1], [0, 1], [-1, 1]], "r": 1},
+    "dp7.json": {"type": "fano_cone", "polytope": [[-1, -1], [1, -1], [1, 0], [0, 1], [-1, 1]], "r": 1},
 }
 
 # literal `result` payloads; a refactor that changes one must say why
@@ -675,6 +702,20 @@ PINNED_RESULTS = [
         '{"certificate": "zero exact gradient at rational interior weights of height <= 64", '
         '"exact": true, "method": "numeric_slice", "minimizer": ["1/4", "1/4", "1/4", "1/4"], '
         '"tolerance": 1e-09, "value": "256"}',
+    ),
+    # inexact values: float sums in the simplex order of the slice
+    # triangulation, so a change to that order can show in their last
+    # bits. The blow-up slice has two triangles and catches a new apex;
+    # the dP7 pentagon has three and also catches a reordered facet loop
+    (
+        "hvol --model blowup.json",
+        '{"exact": false, "method": "numeric_slice", "minimizer": ["0", "-129583157/985551345", "1"], '
+        '"tolerance": 1e-09, "value": 7.739347215085987}',
+    ),
+    (
+        "hvol --model dp7.json",
+        '{"exact": false, "method": "numeric_slice", "minimizer": ["-13316083/120622699", "-103127239/934170049", "1"], '
+        '"tolerance": 1e-09, "value": 6.788343839551018}',
     ),
     (
         "lattice --body tri.json --k-range 1:6",

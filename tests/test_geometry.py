@@ -30,6 +30,14 @@ class TestConvexHull:
         assert body.vertices == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
         assert body.is_full_dimensional
 
+    def test_edge_point_of_a_non_simple_polytope_dropped(self):
+        # each edge of the 4-d cross-polytope lies on four facets, whose
+        # normals have rank 3: a point inside an edge is no vertex
+        corners = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+        body = G.convex_hull(corners + [(F(1, 2), F(1, 2), 0, 0), (F(1, 3), 0, F(-2, 3), 0)])
+        assert body.vertices == tuple(sorted(corners))
+        assert body.volume() == F(2, 3)
+
     def test_collinear_is_degenerate(self):
         body = G.convex_hull([(0, 0), (1, 1), (F(1, 2), F(1, 2))])
         assert not body.is_full_dimensional
@@ -172,8 +180,20 @@ class TestDualCone:
         assert not cone.is_full_dimensional
         assert cone.is_pointed == pointed
 
-    def test_redundant_ray_normalized_away(self):
-        assert G.Cone([(1, 0), (0, 1), (1, 1)]).rays == ((0, 1), (1, 0))
+    @pytest.mark.parametrize(
+        "rays,extreme",
+        [
+            ([(1, 0), (0, 1), (1, 1)], ((0, 1), (1, 0))),
+            # (1, 1, 2) lies on a 2-face, (0, 0, 1) inside the cone
+            (
+                [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (1, 1, 2), (0, 0, 1)],
+                ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1)),
+            ),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_redundant_ray_normalized_away(self, rays, extreme):
+        assert G.Cone(rays).rays == extreme
 
 
 class TestVolume:
@@ -194,7 +214,7 @@ class TestVolume:
     def test_additive_over_triangulation(self):
         body = G.convex_hull([(0, 0), (3, 0), (4, 2), (1, 3), (0, 2)])
         total = F(0)
-        for tri in G._full_triangulation(body):
+        for tri, _ in G._simplices(body):
             total += G.convex_hull(tri).volume()
         assert total == body.volume()
 
@@ -210,6 +230,64 @@ class TestVolume:
                     [tuple(sum(mat[i][j] * v[j] for j in range(body.dim)) for i in range(body.dim)) for v in body.vertices]
                 )
                 assert image.volume() == body.volume()
+
+
+def _full_triangulation(body):
+    """Reference triangulation of a full-dimensional body: the cones from
+    the centroid of its vertices over a triangulation of each facet."""
+    center = tuple(sum(c) / len(body.vertices) for c in zip(*body.vertices))
+    simplices = []
+    for normal, rhs in body.facets:
+        face = [v for v in body.vertices if linalg.dot(normal, v) == rhs]
+        for idx in G._triangulate_indices(face, body.dim - 1):
+            simplices.append((center,) + tuple(face[i] for i in idx))
+    return simplices
+
+
+def _reference_volume_and_barycenter(body):
+    """dim! times the volume, and the barycenter, summed over the centroid fan."""
+    total = F(0)
+    weighted = [F(0)] * body.dim
+    for simplex in _full_triangulation(body):
+        vol = abs(linalg.det([[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]))
+        total += vol
+        for i in range(body.dim):
+            weighted[i] += vol * sum(p[i] for p in simplex) / len(simplex)
+    return total, tuple(w / total for w in weighted)
+
+
+@st.composite
+def full_point_sets(draw):
+    """Rational points in dimension 1-4 spanning the space, with some of
+    their midpoints, which may fall inside the hull, inside a face or on
+    an edge."""
+    d = draw(st.integers(1, 4))
+    coordinate = st.fractions(-2, 2, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 4))
+    assume(linalg.rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]]) == d)
+    index = st.integers(0, len(points) - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        points.append(tuple((x + y) / 2 for x, y in zip(points[i], points[j])))
+    return points
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(full_point_sets())
+def test_volume_and_barycenter_match_the_centroid_fan(points):
+    body = G.convex_hull(points)
+    assert body.is_full_dimensional
+    # points inside the hull and inside faces of it are not vertices
+    centers = [tuple(sum(c) / len(body.vertices) for c in zip(*body.vertices))]
+    for normal, rhs in body.facets:
+        face = [v for v in body.vertices if linalg.dot(normal, v) == rhs]
+        centers.append(tuple(sum(c) / len(face) for c in zip(*face)))
+    padded = G.convex_hull(points + centers)
+    assert padded.vertices == body.vertices
+    assert padded.facets == body.facets
+    dets, barycenter = _reference_volume_and_barycenter(body)
+    assert padded.volume() == dets / math.factorial(body.dim)
+    assert padded.barycenter() == barycenter
+    assert body.barycenter() == barycenter
 
 
 class TestLatticePoints:
