@@ -395,17 +395,28 @@ def kernel_oracle_corpus(fast=False):
 
 
 def _check_facet_kernel(ideal):
-    """Double description against the subset oracle on one Newton polyhedron."""
+    """Double description against the subset oracle on one Newton
+    polyhedron: the same rays, and each zero set the rows on which its
+    ray vanishes."""
     normals = newton_normals(ideal)
     dim = ideal.n + 1
     got = geometry._extreme_rays(normals, dim)
+    rays = [ray for ray, _ in got]
     expected = _extreme_rays_by_subsets(normals, dim)
-    if got != expected:
+    if rays != expected:
         raise InvariantViolationError(
             "facet-kernel-disagreement",
-            f"double description gave {got}, the subset oracle gave {expected}",
+            f"double description gave {rays}, the subset oracle gave {expected}",
             gens=[list(g) for g in ideal.gens],
         )
+    for ray, zeros in got:
+        pairing = sum(1 << i for i, a in enumerate(normals) if linalg.dot(a, ray) == 0)
+        if zeros != pairing:
+            raise InvariantViolationError(
+                "facet-kernel-disagreement",
+                f"double description gave the zero set {zeros:#b} to ray {ray}, its pairings give {pairing:#b}",
+                gens=[list(g) for g in ideal.gens],
+            )
 
 
 # Exhaustive corpora (n, k, boundary) on which lct meets the simplex
@@ -496,7 +507,7 @@ def criterion_cross_validation(fast=False):
             return False, "volume scaling failed", "exact", ""
     return (
         True,
-        f"{kernels} facet-kernel checks against subset enumeration, "
+        f"{kernels} facet-kernel checks against subset enumeration and pairings, "
         f"{corpus} threshold cross-checks against the LP, {vertex_checks} against vertex enumeration, "
         f"worst limit deviation {float(worst):.3f}, {cases} scaling cases",
         "exact / within 5%",

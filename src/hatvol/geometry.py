@@ -1,22 +1,27 @@
 """Exact rational polyhedral geometry in ambient dimension up to four.
 
-Convex bodies are stored by their vertices. Every facet system (of a
-hull, of a polyhedron with recession rays, of a cone) comes from one
-kernel, `_extreme_rays`, which finds the extreme rays of a dual cone by
-double description over integer normals: a simplicial start from
-independent rows, found by the fraction-free reduction of `linalg`, one
-cut per further row, adjacency read off zero sets held as bitmasks. For
-hulls and polyhedra the cone is the homogenization one dimension higher.
-A point set of lower affine dimension is flattened by a coordinate
-chart: the pivot columns of the integer row echelon form of its
-differences, onto which it projects one-to-one. Degenerate hulls,
-triangulations and lower-dimensional cones work on the projected points
-and read their answers back by index, with no linear solve. One rank
-test, `_vertices`, finds vertices and extreme rays; one fan, `_fan`,
-from the least vertex (no centroid) triangulates every hull, volumes
-and barycenters included. Everything else (hulls, duals, volumes,
-lattice counts, the counting and Riemann-sum probes) runs over
-`fractions.Fraction`; no floating point enters this module.
+Convex bodies are stored by their vertices, with the bitmask of the
+vertices on each facet. Every facet system (of a hull, of a polyhedron
+with recession rays, of a cone) comes from one kernel, `_extreme_rays`,
+which finds the extreme rays of a dual cone by double description over
+integer normals: a simplicial start from independent rows, found by the
+fraction-free reduction of `linalg`, one cut per further row, adjacency
+read off zero sets held as bitmasks. For hulls and polyhedra the cone is
+the homogenization one dimension higher. The kernel returns each ray
+with its zero set; for a hull that is the set of points on a facet. The
+rest is read off these incidences, with no dot product and no rank
+test: `_vertices` keeps a point (or a ray) whose set of facets lies in
+no other point's set, and one fan, `_fan`, from the least vertex (no
+centroid) triangulates every hull, volumes and barycenters included,
+taking the facets of a face as its maximal intersections with the other
+facets. A point set of lower affine dimension is flattened by a
+coordinate chart: the pivot columns of the integer row echelon form of
+its differences, onto which it projects one-to-one. Degenerate hulls,
+the point sets a triangulation starts from and lower-dimensional cones
+work on the projected points and read their answers back by index, with
+no linear solve. Everything else (hulls, duals, volumes, lattice counts,
+the counting and Riemann-sum probes) runs over `fractions.Fraction`; no
+floating point enters this module.
 """
 
 import itertools
@@ -50,16 +55,19 @@ class ConvexBody:
     ``facets`` is the irredundant system of inequalities <a, x> <= b with
     primitive integer normals; for a body of lower affine dimension the
     system is complemented by ``equations`` cutting out the affine hull.
+    ``_incidence`` holds, for each facet, the bitmask of the vertices on
+    it (bit i for ``vertices[i]``).
     """
 
-    __slots__ = ("dim", "vertices", "_facets", "_equations", "_affine_dim")
+    __slots__ = ("dim", "vertices", "_facets", "_equations", "_affine_dim", "_incidence")
 
-    def __init__(self, dim, vertices, facets, equations, affine_dim):
+    def __init__(self, dim, vertices, facets, equations, affine_dim, incidence):
         self.dim = dim
         self.vertices = vertices
         self._facets = facets
         self._equations = equations
         self._affine_dim = affine_dim
+        self._incidence = incidence
 
     @property
     def affine_dim(self):
@@ -157,14 +165,17 @@ def convex_hull(points):
 
     if affine_dim == dim:
         facets = _hull_facets(pts)
-        vertices = tuple(pts[i] for i in _vertices(pts, facets, dim))
-        return ConvexBody(dim, vertices, tuple(facets), (), dim)
+        masks = [m for _, _, m in facets]
+        keep = _vertices(masks, len(pts))
+        incidence = tuple(sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in masks)
+        vertices = tuple(pts[i] for i in keep)
+        return ConvexBody(dim, vertices, tuple((a, b) for a, b, _ in facets), (), dim, incidence)
 
     # degenerate: hull of the points in chart coordinates, read back
     normals = [linalg.primitive(linalg.clear_denominators(n)) for n in linalg.nullspace(diffs, dim)]
     equations = tuple(sorted((a, linalg.dot(a, base)) for a in normals))
     if affine_dim == 0:
-        return ConvexBody(dim, (base,), (), equations, 0)
+        return ConvexBody(dim, (base,), (), equations, 0, ())
     projected = [_project(p, chart) for p in pts]
     sub = convex_hull(projected)
     corners = set(sub.vertices)
@@ -174,7 +185,9 @@ def convex_hull(points):
         # zero-padded, a primitive chart normal stays primitive
         lift = dict(zip(chart, normal))
         facets.append((tuple(lift.get(i, 0) for i in range(dim)), rhs))
-    return ConvexBody(dim, vertices, tuple(sorted(facets)), equations, affine_dim)
+    # the chart and the zero padding keep the order of the vertices and of
+    # the facets, so the incidences of the chart body carry over
+    return ConvexBody(dim, vertices, tuple(facets), equations, affine_dim, sub._incidence)
 
 
 def _chart(diffs):
@@ -190,29 +203,42 @@ def _project(point, chart):
 
 
 def _hull_facets(points):
-    """Facets <a, x> <= b of conv(points), which must be full-dimensional,
-    sorted, with primitive integer normals a.
+    """Facets <a, x> <= b of conv(points), which must be distinct and
+    full-dimensional, as sorted triples (a, b, mask) with primitive
+    integer normals a; bit i of mask is set when points[i] lies on the
+    facet.
 
     A point p homogenizes to (p, 1); each extreme ray (w, w0) of the
-    dual of their cone gives <-w, x> <= w0.
+    dual of their cone gives <-w, x> <= w0, and its zero set over the
+    rows is the set of points on that facet.
     """
     gens = [linalg.clear_denominators(tuple(p) + (Fraction(1),)) for p in points]
     facets = []
-    for w in _extreme_rays(gens, len(gens[0])):
+    for w, zeros in _extreme_rays(gens, len(gens[0])):
         g = math.gcd(*w[:-1])
         if g:  # g == 0 is the trivial inequality 0 <= 1
-            facets.append((tuple(-x // g for x in w[:-1]), Fraction(w[-1], g)))
+            facets.append((tuple(-x // g for x in w[:-1]), Fraction(w[-1], g), zeros))
     return sorted(facets)
 
 
-def _vertices(points, facets, rank):
-    """Indices of the points whose active facets <a, x> = b have normals
-    of the given rank: the vertices of a hull of that dimension, or the
-    extreme rays of a cone with facets (a, 0) when rank is dim - 1."""
+def _vertices(facets, count):
+    """Indices of the vertices among ``count`` distinct points, given as
+    ``facets`` the bitmask of the points on each facet.
+
+    A point is a vertex exactly when the facets through it meet in it
+    alone, that is, when its set of facets lies in no other point's set.
+    With the zero sets of the dual rays of a pointed cone over its
+    distinct primitive rays, the same test finds the extreme rays.
+    """
+    everything = (1 << count) - 1
     out = []
-    for i, p in enumerate(points):
-        active = [a for a, b in facets if linalg.dot(a, p) == b]
-        if len(active) >= rank and linalg.rank(active) == rank:
+    for i in range(count):
+        bit = 1 << i
+        meet = everything
+        for mask in facets:
+            if mask & bit:
+                meet &= mask
+        if meet == bit:
             out.append(i)
     return out
 
@@ -222,10 +248,12 @@ def _vertices(points, facets, rank):
 
 
 def _triangulate_indices(points, d):
-    """Triangulate the hull of ``points`` (affine dimension d) into index tuples.
+    """Triangulate the hull of distinct ``points`` (affine dimension d)
+    into index tuples.
 
-    Every simplex uses only input points. A segment is its two extreme
-    points; from d = 2 on, the points are charted and fanned by `_fan`.
+    Every simplex uses only input vertices. A segment is its two extreme
+    points; from d = 2 on, the points are charted and hulled once, and
+    `_fan` triangulates the hull over the vertex sets of its facets.
     """
     if d == 0:
         return [(0,)]
@@ -240,31 +268,49 @@ def _triangulate_indices(points, d):
         return [(keyed[0], keyed[-1])]
     chart = _chart([tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]])
     coords = [_project(p, chart) for p in points]
-    return _fan(coords, _hull_facets(set(coords)), d)
+    masks = [m for _, _, m in _hull_facets(coords)]
+    corners = sum(1 << i for i in _vertices(masks, len(coords)))
+    return _fan(coords, [m & corners for m in masks], d)
 
 
 def _fan(points, facets, d):
-    """Triangulate the full-dimensional hull of ``points`` in R^d, whose
-    facets are given, into index tuples: the hull is fanned from its
-    lexicographically least vertex over triangulations of the facets
-    that do not pass through it."""
-    vertex_idx = _vertices(points, facets, d)
-    apex = min(vertex_idx, key=lambda i: points[i])
+    """Triangulate a d-polytope into index tuples over ``points``, given
+    the vertex sets of its facets as bitmasks (bit i for points[i]).
+
+    A segment is the pair of its two vertices. From d = 2 on, the
+    polytope is fanned from its lexicographically least vertex over
+    triangulations of the facets that do not pass through it. The facets
+    of a facet F are the maximal nonempty intersections of F with the
+    other facets, so no face is hulled again.
+    """
+    if d == 1:
+        return [tuple(_members(facets[0] | facets[1]))]
+    apex = min((i for face in facets for i in _members(face)), key=points.__getitem__)
     simplices = []
-    for normal, rhs in facets:
-        if linalg.dot(normal, points[apex]) == rhs:
+    for k, face in enumerate(facets):
+        if face >> apex & 1:
             continue
-        face_idx = [i for i in vertex_idx if linalg.dot(normal, points[i]) == rhs]
-        for sub in _triangulate_indices([points[i] for i in face_idx], d - 1):
-            simplices.append((apex,) + tuple(face_idx[j] for j in sub))
+        meets = [face & other for j, other in enumerate(facets) if j != k]
+        ridges = []
+        for m in meets:
+            if m and m not in ridges and not any(m & n == m and m != n for n in meets):
+                ridges.append(m)
+        for sub in _fan(points, ridges, d - 1):
+            simplices.append((apex,) + sub)
     return simplices
 
 
+def _members(mask):
+    """The set bits of a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _simplices(body):
-    """Each simplex of the fan of a full-dimensional body over its own
-    facets, as its corners, with |det| of its edges (dim! times its volume)."""
+    """Each simplex of the fan of a full-dimensional body over the vertex
+    sets of its own facets, as its corners, with |det| of its edges (dim!
+    times its volume)."""
     vertices = body.vertices
-    for idx in _fan(vertices, body.facets, body.dim):
+    for idx in _fan(vertices, body._incidence, body.dim):
         simplex = [vertices[i] for i in idx]
         apex = simplex[0]
         yield simplex, abs(linalg.det([[x - y for x, y in zip(p, apex)] for p in simplex[1:]]))
@@ -492,11 +538,11 @@ class Cone:
         self._pointed = None
         if self._full:
             dual = _extreme_rays(prim, dim)
-            self._dual_rays = dual
-            interior = tuple(sum(col) for col in zip(*dual)) if dual else None
+            self._dual_rays = [w for w, _ in dual]
+            interior = tuple(sum(col) for col in zip(*self._dual_rays)) if dual else None
             self._pointed = bool(dual) and all(linalg.dot(interior, r) > 0 for r in prim)
             if self._pointed:
-                prim = [prim[i] for i in _vertices(prim, [(d, 0) for d in dual], dim - 1)]
+                prim = [prim[i] for i in _vertices([zeros for _, zeros in dual], len(prim))]
         self.rays = tuple(sorted(prim))
 
     @property
@@ -560,7 +606,9 @@ def _simplicial_start(rows, dim):
 
 def _extreme_rays(normals, dim):
     """Extreme rays of the cone {y : <a, y> >= 0 for every row a} over
-    integer rows a of full rank dim, as sorted primitive integer vectors.
+    integer rows a of full rank dim, as pairs (ray, zero set) sorted by
+    ray: each ray is a primitive integer vector, and bit i of its zero
+    set is set when <a_i, ray> = 0.
 
     The cone is pointed; it may be lower-dimensional or {0}, which has
     no rays. Double description (Motzkin, Raiffa, Thompson and Thrall
@@ -605,7 +653,7 @@ def _extreme_rays(normals, dim):
                 kept_rays.append(linalg.primitive([vi * y - vj * x for x, y in zip(rays[i], rays[j])]))
                 kept_zeros.append(common | bit)
         rays, zeros = kept_rays, kept_zeros
-    return sorted(rays)
+    return sorted(zip(rays, zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +687,7 @@ class Polyhedron:
         if self._facets is None:
             rows = [p + (1,) for p in self.points] + [r + (0,) for r in self.rays]
             facets = []
-            for w in _extreme_rays(rows, self.dim + 1):
+            for w, _ in _extreme_rays(rows, self.dim + 1):
                 # every facet holds a point p, so g divides w0 = -<w, p>
                 g = math.gcd(*w[:-1])
                 if g:  # g == 0 is the trivial inequality 1 >= 0

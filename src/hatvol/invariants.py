@@ -278,11 +278,19 @@ def hvol_toric(model, tolerance=1e-9):
     to an exact value computed through the independent hull-based
     volume. Otherwise the float value is reported with its tolerance,
     or NonConvergedError is raised when the iteration did not settle.
+    Cones of dimension above `geometry.MAX_DIM` are refused before the
+    iteration starts.
     """
     if not isinstance(model, ToricSingularity):
         raise ValidationError("invalid-model", "expected a toric singularity")
     if tolerance <= 0:
         raise ValidationError("invalid-tolerance", "tolerance must be positive")
+    # the exact upgrade reads the hull volume of the dual body, so a cone
+    # the hulls cannot take is refused up front, whether or not it fires
+    if model.n > geometry.MAX_DIM:
+        raise ValidationError(
+            "unsupported-dimension", f"dimension {model.n} exceeds supported maximum {geometry.MAX_DIM}"
+        )
     objective = _ToricObjective(model)
     xi_unit, numeric_value, converged = _newton_minimize(model, objective)
 

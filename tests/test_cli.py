@@ -381,6 +381,37 @@ class TestErrorPaths:
         assert error["error"] == "enumeration-budget-exceeded"
         assert (error["cells"], error["budget"]) == (3002**2, geometry.MAX_LATTICE_CELLS)
 
+    def test_five_dimensional_toric_hvol_refused(self, capsys, workdir, monkeypatch):
+        # hvol refuses a cone above geometry.MAX_DIM before the Newton
+        # iteration, whether or not the exact upgrade would fire; cone and
+        # qbound on a 4-d Fano polytope, whose cone is 5-d, still answer
+        def unbuilt(model):
+            raise AssertionError("the toric objective was built")
+
+        monkeypatch.setattr(invariants, "_ToricObjective", unbuilt)
+        corners = [[0, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
+        cross = [[s * int(i == j) for j in range(4)] for i in range(4) for s in (1, -1)]
+        models = [
+            {"type": "toric", "rays": [v + [1] for v in corners]},
+            {"type": "toric", "rays": [[int(i == j) for j in range(5)] for i in range(5)]},
+            {"type": "fano_cone", "polytope": cross},
+        ]
+        for i, model in enumerate(models):
+            code, out, err = run(capsys, "hvol", "--model", write(workdir / f"m{i}.json", model))
+            assert code == 2 and out == ""
+            assert json.loads(err) == {
+                "error": "unsupported-dimension",
+                "message": f"dimension 5 exceeds supported maximum {geometry.MAX_DIM}",
+            }
+        fano = str(workdir / "m2.json")
+        code, out, _ = run(capsys, "cone", "--model", fano)
+        result = result_of(out)
+        assert code == 0 and result["degree_bound"] == "16" and result["m_covector"] == ["0", "0", "0", "0", "1"]
+        code, out, _ = run(capsys, "qbound", "--model", fano, "--q", "2")
+        result = result_of(out)
+        assert code == 0 and (result["n"], result["value"], result["limit"]) == (5, "32", "3125")
+        assert result["holds"] is True and result["oracle"] is True
+
     def test_csv_unsupported(self, capsys, an2):
         code, _, err = run(capsys, "hvol", "--model", an2, "--format", "csv")
         assert code == 2
@@ -837,3 +868,23 @@ class TestVerify:
         cross = next(r for r in results if r.name == "engine-cross-validation")
         assert cross.hard_failure and not cross.passed
         assert "the subset oracle gave" in cross.measured
+
+    def test_flipped_incidence_bit_trips_exit_four(self, monkeypatch):
+        # the right rays with one wrong bit in one zero set must trip the
+        # pairing check hard: hulls and fans read the zero sets
+        true_kernel = geometry._extreme_rays
+        target = acceptance.newton_normals(next(acceptance.kernel_oracle_corpus(fast=True)))
+
+        def tampered(normals, dim):
+            pairs = true_kernel(normals, dim)
+            if [tuple(a) for a in normals] == target:
+                (ray, zeros), rest = pairs[0], pairs[1:]
+                return [(ray, zeros ^ 1)] + rest
+            return pairs
+
+        monkeypatch.setattr(geometry, "_extreme_rays", tampered)
+        results = acceptance.run_suite("fast")
+        assert acceptance.suite_exit_code(results) == 4
+        cross = next(r for r in results if r.name == "engine-cross-validation")
+        assert cross.hard_failure and not cross.passed
+        assert "its pairings give" in cross.measured

@@ -290,6 +290,154 @@ def test_volume_and_barycenter_match_the_centroid_fan(points):
     assert body.barycenter() == barycenter
 
 
+def _rank_vertices(points, facets, rank):
+    """Reference vertex test: the indices of the points whose active
+    facets <a, x> = b have normals of the given rank, the vertices of a
+    hull of that dimension, or the extreme rays of a cone with facets
+    (a, 0) when rank is dim - 1."""
+    out = []
+    for i, p in enumerate(points):
+        active = [a for a, b in facets if linalg.dot(a, p) == b]
+        if len(active) >= rank and linalg.rank(active) == rank:
+            out.append(i)
+    return out
+
+
+def _rehull_triangulation(points, d):
+    """Reference triangulation of the hull of ``points`` (affine dimension
+    d): the fan from the least vertex over the facets not through it,
+    each facet found by dot products, charted, hulled and triangulated
+    again, with vertices by the rank test."""
+    if d == 0:
+        return [(0,)]
+    if d == 1:
+        direction = next(tuple(x - y for x, y in zip(p, points[0])) for p in points[1:] if p != points[0])
+        keyed = sorted(range(len(points)), key=lambda i: linalg.dot(direction, points[i]))
+        return [(keyed[0], keyed[-1])]
+    chart = G._chart([tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]])
+    coords = [G._project(p, chart) for p in points]
+    facets = [(a, b) for a, b, _ in G._hull_facets(coords)]
+    vertex_idx = _rank_vertices(coords, facets, d)
+    apex = min(vertex_idx, key=lambda i: coords[i])
+    simplices = []
+    for normal, rhs in facets:
+        if linalg.dot(normal, coords[apex]) == rhs:
+            continue
+        face_idx = [i for i in vertex_idx if linalg.dot(normal, coords[i]) == rhs]
+        for sub in _rehull_triangulation([coords[i] for i in face_idx], d - 1):
+            simplices.append((apex,) + tuple(face_idx[j] for j in sub))
+    return simplices
+
+
+CROSS_4 = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+
+
+@st.composite
+def vertex_test_cases(draw):
+    """Distinct rational points spanning R^d, d in 1-4, or the corners of
+    the 4-d cross-polytope with points inside its edges, each of which
+    lies on four facets whose normals have rank 3."""
+    if draw(st.booleans()):
+        points = draw(full_point_sets())
+        return sorted(set(points)), len(points[0])
+    edge = st.tuples(st.sampled_from(CROSS_4), st.sampled_from(CROSS_4), st.fractions(0, 1, max_denominator=4))
+    points = list(CROSS_4)
+    for p, q, t in draw(st.lists(edge, max_size=6)):
+        points.append(tuple(t * x + (1 - t) * y for x, y in zip(p, q)))
+    return sorted(set(tuple(F(x) for x in p) for p in points)), 4
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(vertex_test_cases())
+def test_incidence_vertices_match_the_rank_test_on_hulls(case):
+    points, d = case
+    facets = G._hull_facets(points)
+    expected = _rank_vertices(points, [(a, b) for a, b, _ in facets], d)
+    assert G._vertices([m for _, _, m in facets], len(points)) == expected
+    body = G.convex_hull(points)
+    assert body.vertices == tuple(points[i] for i in expected)
+    # each facet's bitmask holds exactly the vertices on it
+    for (normal, rhs), mask in zip(body.facets, body._incidence):
+        assert mask == sum(1 << i for i, v in enumerate(body.vertices) if linalg.dot(normal, v) == rhs)
+
+
+@st.composite
+def pointed_cones(draw):
+    """Primitive integer rays of a pointed full-dimensional cone in R^d,
+    d in 1-4, some of them sums of two others, which lie inside the cone
+    or inside a face of it."""
+    d = draw(st.integers(1, 4))
+    ray = st.tuples(*[st.integers(-2, 2)] * (d - 1), st.integers(1, 3))
+    rays = draw(st.lists(ray, min_size=d, max_size=d + 4))
+    assume(linalg.rank(rays) == d)
+    index = st.integers(0, len(rays) - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        rays.append(tuple(x + y for x, y in zip(rays[i], rays[j])))
+    return sorted(set(linalg.primitive(r) for r in rays)), d
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pointed_cones())
+def test_incidence_extreme_rays_match_the_rank_test_on_cones(case):
+    rays, d = case
+    dual = G._extreme_rays(rays, d)
+    expected = _rank_vertices(rays, [(w, 0) for w, _ in dual], d - 1)
+    assert G._vertices([zeros for _, zeros in dual], len(rays)) == expected
+    assert G.Cone(rays).rays == tuple(rays[i] for i in expected)
+
+
+@st.composite
+def plane_point_sets(draw):
+    """Distinct points of affine dimension d in 1 or 2, in R^d or on an
+    affine subspace of R^3 through a chart that is not the identity."""
+    d = draw(st.integers(1, 2))
+    coordinate = st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 5, unique=True))
+    assume(linalg.rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]]) == d)
+    if draw(st.booleans()):
+        # (x) -> (x, 2x + 1, -x) or (x, y) -> (y, x + 2y, x - 1)
+        lift = (lambda p: (p[0], 2 * p[0] + 1, -p[0])) if d == 1 else (lambda p: (p[1], p[0] + 2 * p[1], p[0] - 1))
+        points = [lift(p) for p in points]
+    return points, d
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(plane_point_sets())
+def test_triangulation_in_dimension_up_to_two_matches_the_rehull(case):
+    # the same simplices in the same order: _ToricObjective sums floats in it
+    points, d = case
+    assert G._triangulate_indices(points, d) == _rehull_triangulation(points, d)
+
+
+CUBE_4 = list(itertools.product((0, 1), repeat=4))
+
+
+@st.composite
+def solid_point_sets(draw):
+    """Distinct points spanning R^d, d in 3 or 4: subsets of {0, 1, 2}^d,
+    the 4-cube or the 4-d cross-polytope, with non-simplicial faces."""
+    kind = draw(st.sampled_from(["grid", "grid", "cube", "cross"]))
+    if kind == "cube":
+        return CUBE_4, 4
+    if kind == "cross":
+        return CROSS_4, 4
+    d = draw(st.integers(3, 4))
+    grid = list(itertools.product(range(3), repeat=d))
+    points = draw(st.lists(st.sampled_from(grid), min_size=d + 1, max_size=d + 8, unique=True))
+    assume(linalg.rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]]) == d)
+    return points, d
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(solid_point_sets())
+def test_triangulation_in_dimension_three_and_four_matches_the_rehull(case):
+    # the same simplices; ridges come in another order on non-simplicial faces
+    points, d = case
+    simplices = G._triangulate_indices(points, d)
+    assert sorted(simplices) == sorted(_rehull_triangulation(points, d))
+    assert len(set(simplices)) == len(simplices)
+
+
 class TestLatticePoints:
     @pytest.mark.parametrize("k", [1, 2, 7, 10])
     def test_square(self, k):
@@ -435,12 +583,21 @@ def full_rank_normals(draw):
     return rows, d
 
 
+def _kernel_rays(rows, dim):
+    """The rays of `_extreme_rays`, each zero set checked against the
+    rows on which its ray vanishes."""
+    pairs = G._extreme_rays(rows, dim)
+    for ray, zeros in pairs:
+        assert zeros == sum(1 << i for i, a in enumerate(rows) if linalg.dot(a, ray) == 0)
+    return [ray for ray, _ in pairs]
+
+
 class TestFacetKernel:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(full_rank_normals())
     def test_matches_subset_enumeration(self, case):
         rows, d = case
-        assert G._extreme_rays(rows, d) == _extreme_rays_by_subsets(rows, d)
+        assert _kernel_rays(rows, d) == _extreme_rays_by_subsets(rows, d)
 
     @pytest.mark.parametrize(
         "rows,dim,rays",
@@ -453,27 +610,27 @@ class TestFacetKernel:
         ],
     )
     def test_degenerate_duals(self, rows, dim, rays):
-        assert G._extreme_rays(rows, dim) == rays == _extreme_rays_by_subsets(rows, dim)
+        assert _kernel_rays(rows, dim) == rays == _extreme_rays_by_subsets(rows, dim)
 
     @pytest.mark.parametrize("polytope,dual_size", [(CUBE, 6), (OCTAHEDRON, 8)])
     def test_cones_with_non_simple_vertices(self, polytope, dual_size):
         # the cube and octahedron cones are dual: the extreme rays of one
         # meet three and four facets of the other
         rows = _cone_over(polytope)
-        rays = G._extreme_rays(rows, 4)
+        rays = _kernel_rays(rows, 4)
         assert len(rays) == dual_size
         assert rays == _extreme_rays_by_subsets(rows, 4)
-        assert sorted(G._extreme_rays(rays, 4)) == sorted(linalg.primitive(r) for r in rows)
+        assert _kernel_rays(rays, 4) == sorted(linalg.primitive(r) for r in rows)
 
     def test_newton_polyhedron_of_a_diagonal_ideal(self):
         # (x^2, y^3, z^2): the compact facet 3x + 2y + 3z >= 6, the three
         # coordinate facets and the trivial inequality 0 <= 1
         rows = newton_normals(M.MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 2)]))
-        assert G._extreme_rays(rows, 4) == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (3, 2, 3, -6)]
+        assert _kernel_rays(rows, 4) == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (3, 2, 3, -6)]
 
     def test_dodecagon_cone(self):
         rows = _cone_over(DODECAGON)
-        assert G._extreme_rays(rows, 3) == [
+        assert _kernel_rays(rows, 3) == [
             (-2, 1, 5), (-1, -1, 5), (-1, 0, 3), (-1, 1, 3), (-1, 2, 5), (0, -1, 3),
             (0, 1, 3), (1, -2, 5), (1, -1, 3), (1, 0, 3), (1, 1, 5), (2, -1, 5),
         ]
