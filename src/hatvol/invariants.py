@@ -384,11 +384,15 @@ def _staircase_key(ideal):
 class ScanStats:
     """Work counters of normalized-colength scans, summed over the calls
     that share one instance: ideals that reached the argmin, ideals the
-    lower bound ruled out, and lct evaluations."""
+    lower bound ruled out, lct evaluations, and in exact mode the inner
+    nodes of the staircase recursion whose subtree bound was computed
+    and the subtrees that bound skipped."""
 
     ideals_seen: int = 0
     ideals_pruned: int = 0
     lct_evaluations: int = 0
+    nodes_visited: int = 0
+    subtrees_pruned: int = 0
 
     def to_payload(self):
         return asdict(self)
@@ -475,7 +479,7 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
     lct^n * colength over ideals between the k-th power of the maximal
     ideal and the maximal ideal with colength at least c k^n.
 
-    Exact mode enumerates every monomial staircase in range (refusing
+    Exact mode minimizes over every monomial staircase in range (refusing
     beyond the configured budget); upper mode scans valuation ideals of
     a rational weight grid and therefore only bounds the infimum from
     above (refusing above the fixed ceiling `monomials.UPPER_BUDGETS`).
@@ -493,6 +497,17 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
     j grows (for n >= 2), so the seed is the value of m^k, which is in
     the family whenever any ideal is. Upper mode has no seed; on the
     default grid its first ideal, of weights (1, ..., 1), is m^k itself.
+
+    Exact mode also skips whole subtrees of the staircase recursion
+    (`monomials.enumerate_staircases` with its ``prune`` hook). Every
+    ideal below a node contains the node's smallest ideal a_min and has
+    colength at least L, the greater of c k^n rounded up and the fixed
+    column heights plus the floors of the open ones; so its value is at
+    least n! lct(a_min)^n L. The subtree goes when that bound is strictly
+    above the incumbent, tried first with the integer floor B of
+    lct(a_min) and only then with the facet pick on a_min's Newton
+    facets.
+
     Ties are never skipped, so the value and the argmin are those of the
     full scan. ``stats`` (a ScanStats) counts the work.
     """
@@ -515,23 +530,50 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
     factor = math.factorial(n)
     costs, scale = model.integer_costs
 
+    # the incumbent of `_argmin`: the least of the seed and every value
+    # computed so far
+    bar = None
+
     def value(ideal):
+        nonlocal bar
         num, _, level = _facet_pick(costs, ideal.newton_facets())
-        return Fraction(factor * num**n * ideal.colength(), (scale * level) ** n)
+        v = Fraction(factor * num**n * ideal.colength(), (scale * level) ** n)
+        if bar is None or v < bar:
+            bar = v
+        return v
 
     def lower(ideal):
         p, q = _lct_floor(costs, ideal.gens)
         return factor * p**n * ideal.colength(), (scale * q) ** n
 
+    def prune(a_min, least_colength):
+        # the subtree goes when n! lct(a_min)^n least_colength is strictly
+        # above the bar, lct(a_min) = p / (scale q) taken first from below
+        # by the integer floor and then exactly
+        if stats is not None:
+            stats.nodes_visited += 1
+        cut_p, cut_q = factor * least_colength * bar.denominator, bar.numerator * scale**n
+        p, q = _lct_floor(costs, a_min.gens)
+        if cut_p * p**n <= cut_q * q**n:
+            p, _, q = _facet_pick(costs, a_min.newton_facets())
+            if cut_p * p**n <= cut_q * q**n:
+                return False
+        if stats is not None:
+            stats.subtrees_pruned += 1
+        return True
+
     _check_level_budget(n, k, mode, budgets)
     seed = None
     if mode == "exact":
-        ideals = monomials.enumerate_staircases(n, k, min_colength=max(1, min_colength), budgets=budgets)
+        ideals = monomials.enumerate_staircases(
+            n, k, min_colength=max(1, min_colength), budgets=budgets, prune=prune
+        )
         seed = Fraction(factor * sum(costs) ** n * full, (scale * k) ** n)
     elif mode == "upper":
         ideals = _valuation_ideals(n, k, min_colength, DEFAULT_WEIGHT_RATIOS)
     else:
         raise ValidationError("invalid-mode", f"unknown mode {mode!r}")
+    bar = seed
     best = _argmin(ideals, value, lower=lower, incumbent=seed, stats=stats)
     if best is None:
         raise ValidationError(

@@ -6,8 +6,9 @@ NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968): each row is first scaled
 by the lcm of its denominators, which changes neither the pivot columns
 nor the solutions, and every update is divided exactly by the previous
 pivot. After the reduction every pivot column holds the last pivot d in
-its pivot row and zeros elsewhere, so rank, pivot columns, determinants,
-solutions and nullspaces are read off the integer rows over d. The
+its pivot row and zeros elsewhere, so solutions and nullspaces are read
+off the integer rows over d. Rank, pivot columns and determinants stop
+at the row echelon form, which gives the same pivots and d. The
 simplex method of `simplex` pivots its tableau with the same step.
 Integer vectors are normalized to primitive form (gcd one, direction
 preserved).
@@ -57,25 +58,26 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _pivot(rows, r, c, prev):
+def _pivot(rows, r, c, prev, start=0):
     """One fraction-free Gauss-Jordan step on integer rows, in place, at
     the nonzero entry p = rows[r][c]; returns p.
 
-    Every row but r becomes (p * row - row[c] * rows[r]) / prev, where
-    prev is the pivot of the step before (1 before the first). Each entry
-    is then a minor of the rows first given, so the division is exact
-    (Sylvester's identity).
+    Every row but r from index ``start`` on becomes
+    (p * row - row[c] * rows[r]) / prev, where prev is the pivot of the
+    step before (1 before the first). Each entry is then a minor of the
+    rows first given, so the division is exact (Sylvester's identity).
     """
     top = rows[r]
     p = top[c]
-    for i, row in enumerate(rows):
+    for i in range(start, len(rows)):
         if i != r:
+            row = rows[i]
             x = row[c]
             rows[i] = [(p * u - x * v) // prev for u, v in zip(row, top)]
     return p
 
 
-def _reduce(rows):
+def _reduce(rows, echelon=False):
     """Fraction-free reduced row echelon form of integer rows, in place.
 
     Pivots go column by column to the first row at or below the next
@@ -83,6 +85,12 @@ def _reduce(rows):
     the row swaps, last pivot d). Then row r holds d in the r-th pivot
     column and every other row a zero there; on a square matrix of full
     rank, sign * d is the determinant.
+
+    With ``echelon`` each step updates only the rows below its pivot
+    (Bareiss's elimination), for callers that need no more than the
+    return value: the rows are left in row echelon form only, but every
+    row from each pivot down is updated as in the full reduction, so the
+    pivot columns, the sign and d are the same.
     """
     pivots, sign, prev = [], 1, 1
     for c in range(len(rows[0]) if rows else 0):
@@ -95,14 +103,14 @@ def _reduce(rows):
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
             sign = -sign
-        prev = _pivot(rows, r, c, prev)
+        prev = _pivot(rows, r, c, prev, r + 1 if echelon else 0)
         pivots.append(c)
     return pivots, sign, prev
 
 
 def _pivot_columns(rows):
     """The pivot columns of the row echelon form of integer or rational rows."""
-    return _reduce(_integer_rows(rows)[0])[0]
+    return _reduce(_integer_rows(rows)[0], echelon=True)[0]
 
 
 def rank(rows):
@@ -112,7 +120,7 @@ def rank(rows):
 def det(matrix):
     """Exact determinant of a square integer or rational matrix, as a Fraction."""
     rows, scale = _integer_rows(matrix)
-    pivots, sign, last = _reduce(rows)
+    pivots, sign, last = _reduce(rows, echelon=True)
     if len(pivots) < len(rows):
         return Fraction(0)
     return Fraction(sign * last, scale)

@@ -387,7 +387,7 @@ def _check_enumeration_budget(n, k, budgets=None):
         )
 
 
-def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None):
+def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None, prune=None):
     """Yield every monomial ideal with m^k <= a <= m and colength >= min_colength.
 
     Each ideal appears exactly once, as the column heights it sets over
@@ -397,6 +397,17 @@ def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None)
     the heights one step below. ``contain_power`` = j further restricts
     to a <= m^j. Refuses (rather than truncates) when k exceeds the
     configured budget.
+
+    ``prune(a_min, least_colength)``, if given, is asked at every inner
+    node of the recursion before its subtree is enumerated; a true answer
+    skips the whole subtree. a_min sets every open column to its
+    ceiling, so it is the smallest ideal of the subtree and every ideal
+    yielded below the node contains it. least_colength is the greater of
+    min_colength and the fixed heights plus the floors of the open
+    columns, a lower bound for the colength of every ideal yielded
+    below. The hook is called lazily, between yields, so it may read
+    state the consumer updates. Without it every ideal in range is
+    yielded.
     """
     if n not in (2, 3):
         raise ValidationError("invalid-dimension", "exhaustive enumeration supports n in {2, 3}")
@@ -412,21 +423,41 @@ def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None)
         for i, u in enumerate(cells)
         if sum(u) < k
     ]
+    # floors[d]: the least total height of the columns free[d:]
+    floors = list(itertools.accumulate(reversed([lo for _, lo, _, _ in free]), initial=0))[::-1]
     heights = [0] * len(cells)
 
-    def rec(depth, total):
+    def ceiling(top, lower):
+        for j in lower:
+            if heights[j] < top:
+                top = heights[j]
+        return top
+
+    def smallest(depth):
+        # an open column's height is read only after the recursion sets
+        # it, so a_min is built in place over the open columns
+        for i, _, top, lower in free[depth:]:
+            heights[i] = ceiling(top, lower)
+        return MonomialIdeal._from_corners(n, _corners(cells, below, heights))
+
+    def rec(depth, total, a_min):
         if depth == len(free):
             if total >= min_colength:
                 ideal = MonomialIdeal._from_corners(n, _corners(cells, below, heights))
                 ideal._colength = total
                 yield ideal
             return
+        if prune is not None:
+            if a_min is None:
+                a_min = smallest(depth)
+            if prune(a_min, max(min_colength, total + floors[depth])):
+                return
         i, lo, top, lower = free[depth]
-        for j in lower:
-            if heights[j] < top:
-                top = heights[j]
+        top = ceiling(top, lower)
         for c in range(lo, top + 1):
             heights[i] = c
-            yield from rec(depth + 1, total + c)
+            # the child at the ceiling has this node's a_min, and reuses
+            # the object with what the hook cached on it
+            yield from rec(depth + 1, total + c, a_min if c == top else None)
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, None)

@@ -103,15 +103,23 @@ class TestCommands:
         assert result_of(out)["c"] == "1/8"
 
     def test_hatl_stats(self, capsys, an2):
-        # the lower bound rules out 350 of the 417 ideals at k = 6
+        # at k = 6 the subtree bound skips 117 of the 157 inner nodes it
+        # visits, so only two of the 417 ideals in range reach the argmin,
+        # and the leaf bound rules out one of them
         code, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "6")
         assert code == 0
         report = json.loads(out)
-        assert report["stats"] == {"ideals_pruned": 350, "ideals_seen": 417, "lct_evaluations": 67}
+        assert report["stats"] == {
+            "ideals_pruned": 1,
+            "ideals_seen": 2,
+            "lct_evaluations": 1,
+            "nodes_visited": 157,
+            "subtrees_pruned": 117,
+        }
         assert report["result"]["value"] == "14/3"
 
     def test_scan_stats_sum_the_rows(self, capsys, an2):
-        total = {"ideals_pruned": 0, "ideals_seen": 0, "lct_evaluations": 0}
+        total = dict.fromkeys(["ideals_pruned", "ideals_seen", "lct_evaluations", "nodes_visited", "subtrees_pruned"], 0)
         for k in (2, 3, 4, 5):
             _, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", str(k))
             for key, count in json.loads(out)["stats"].items():
@@ -747,6 +755,14 @@ PINNED_RESULTS = [
         "hvol --model dp7.json",
         '{"exact": false, "method": "numeric_slice", "minimizer": ["-13316083/120622699", "-103127239/934170049", "1"], '
         '"tolerance": 1e-09, "value": 6.788343839551018}',
+    ),
+    # exact n = 3 scan at its budget: the argmin is m^5 itself
+    (
+        "hatl --model space.json --c 1/24 --k 5",
+        '{"argmin": [[5, 0, 0], [4, 1, 0], [4, 0, 1], [3, 2, 0], [3, 1, 1], [3, 0, 2], [2, 3, 0], '
+        '[2, 2, 1], [2, 1, 2], [2, 0, 3], [1, 4, 0], [1, 3, 1], [1, 2, 2], [1, 1, 3], [1, 0, 4], '
+        '[0, 5, 0], [0, 4, 1], [0, 3, 2], [0, 2, 3], [0, 1, 4], [0, 0, 5]], '
+        '"c": "1/24", "k": 5, "mode": "exact", "value": "1134/25"}',
     ),
     (
         "lattice --body tri.json --k-range 1:6",

@@ -376,6 +376,34 @@ class TestEnumeration:
         yielded = [(ideal.gens, ideal.colength()) for ideal in M.enumerate_staircases(n, k, **options)]
         assert yielded == list(reference_enumeration(n, k, **options))
 
+    @pytest.mark.parametrize("n,k,min_colength", [(2, 5, 6), (3, 3, 5)])
+    def test_pruned_subtree_holds_its_smallest_ideal(self, n, k, min_colength):
+        # skipping the subtree of the j-th node drops one run of the full
+        # sequence; every dropped ideal contains that node's a_min and has
+        # colength at least its least_colength, and a_min is dropped too
+        full = [ideal.gens for ideal in M.enumerate_staircases(n, k, min_colength=min_colength)]
+        nodes = []
+        kept = list(M.enumerate_staircases(n, k, min_colength=min_colength, prune=lambda *node: nodes.append(node)))
+        assert [ideal.gens for ideal in kept] == full
+        for j in range(len(nodes)):
+            seen = []
+
+            def prune(a_min, least_colength):
+                seen.append((a_min, least_colength))
+                return len(seen) == j + 1
+
+            kept = [ideal.gens for ideal in M.enumerate_staircases(n, k, min_colength=min_colength, prune=prune)]
+            a_min, least_colength = seen[j]
+            assert (a_min.gens, least_colength) == (nodes[j][0].gens, nodes[j][1])
+            start = next((i for i, (a, b) in enumerate(zip(full, kept)) if a != b), len(kept))
+            dropped = full[start : start + len(full) - len(kept)]
+            assert full[:start] + full[start + len(dropped) :] == kept
+            for gens in dropped:
+                ideal = M.MonomialIdeal(n, gens)
+                assert a_min <= ideal
+                assert ideal.colength() >= least_colength >= min_colength
+            assert (a_min.colength() >= min_colength) == (a_min.gens in dropped)
+
     def test_cached_colength_correct(self):
         for ideal in M.enumerate_staircases(2, 5):
             cached = ideal.colength()
