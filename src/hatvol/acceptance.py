@@ -11,6 +11,7 @@ checks; the full suite runs the stated ones.
 
 import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -419,6 +420,41 @@ def _check_facet_kernel(ideal):
             )
 
 
+def multiplicity_oracle_corpus(fast=False):
+    """The ideals whose multiplicities meet the box covolume: every 5th
+    ideal of `enumerate_staircases(3, 4)`, or every 50th in the fast
+    suite."""
+    return itertools.islice(monomials.enumerate_staircases(3, 4), 0, None, 50 if fast else 5)
+
+
+def box_covolume_multiplicity(ideal):
+    """e(a) = n! (D^n - vol(P ∩ [0, D]^n)) for an m-primary ideal, where
+    P is the Newton polyhedron and D the largest exponent of a generator.
+    P ∩ [0, D]^n is the hull of the generators with every subset of
+    their coordinates raised to D, so this reads e(a) off one
+    `convex_hull` and its `volume`, not off the Newton fan."""
+    n = ideal.n
+    top = max(max(g) for g in ideal.gens)
+    corners = {
+        tuple(top if i in raised else x for i, x in enumerate(g))
+        for g in ideal.gens
+        for r in range(n + 1)
+        for raised in itertools.combinations(range(n), r)
+    }
+    return math.factorial(n) * (top**n - geometry.volume(geometry.convex_hull(corners)))
+
+
+def _check_multiplicity_by_box(ideal):
+    expected = box_covolume_multiplicity(ideal)
+    got = ideal.multiplicity()
+    if got != expected:
+        raise InvariantViolationError(
+            "multiplicity-disagreement",
+            f"the Newton fan gave e = {got}, the box covolume gave {expected}",
+            gens=[list(g) for g in ideal.gens],
+        )
+
+
 # Exhaustive corpora (n, k, boundary) on which lct meets the simplex
 # oracle; the fast suite runs the boundary-free n = 2 corpus at k = 6.
 LCT_ORACLE_CORPORA = (
@@ -463,12 +499,17 @@ def _check_lct_against_lp(model, ideal):
 
 
 def criterion_cross_validation(fast=False):
-    """Independent paths agree: facet kernels, thresholds, multiplicities, scaling."""
+    """Independent paths agree: facet kernels, multiplicities by box
+    covolume, thresholds, multiplicities by the colength limit, scaling."""
     rng = random.Random(SEED + 1)
     kernels = 0
     for ideal in kernel_oracle_corpus(fast):
         kernels += 1
         _check_facet_kernel(ideal)
+    covolumes = 0
+    for ideal in multiplicity_oracle_corpus(fast):
+        covolumes += 1
+        _check_multiplicity_by_box(ideal)
     corpus = 0
     for n, k, coeffs in LCT_ORACLE_CORPORA_FAST if fast else LCT_ORACLE_CORPORA:
         model = MonomialPair(n, coeffs)
@@ -508,6 +549,7 @@ def criterion_cross_validation(fast=False):
     return (
         True,
         f"{kernels} facet-kernel checks against subset enumeration and pairings, "
+        f"{covolumes} n = 3 multiplicities against box covolumes, "
         f"{corpus} threshold cross-checks against the LP, {vertex_checks} against vertex enumeration, "
         f"worst limit deviation {float(worst):.3f}, {cases} scaling cases",
         "exact / within 5%",

@@ -8,24 +8,27 @@ integer normals: a simplicial start from independent rows, found by the
 fraction-free reduction of `linalg`, one cut per further row, adjacency
 read off zero sets held as bitmasks. For hulls and polyhedra the cone is
 the homogenization one dimension higher. The kernel returns each ray
-with its zero set; for a hull that is the set of points on a facet. The
-rest is read off these incidences, with no dot product and no rank
-test: `_vertices` keeps a point (or a ray) whose set of facets lies in
-no other point's set, and one fan, `_fan`, from the least vertex (no
+with its zero set; for a hull that is the set of points on a facet, and
+a `Polyhedron` keeps it beside each facet as ``incidence``. The rest is
+read off these incidences, with no dot product and no rank test:
+`_vertices` keeps a point (or a ray) whose set of facets lies in no
+other point's set, and one fan, `_fan`, from the least vertex (no
 centroid) triangulates every hull, volumes and barycenters included,
 taking the facets of a face as its maximal intersections with the other
-facets. A point set of lower affine dimension is flattened by a
-coordinate chart: the pivot columns of the integer row echelon form of
-its differences, onto which it projects one-to-one. Degenerate hulls,
-the point sets a triangulation starts from and lower-dimensional cones
-work on the projected points and read their answers back by index, with
-no linear solve. Everything else (hulls, duals, volumes, lattice counts,
-the counting and Riemann-sum probes) runs over `fractions.Fraction`; no
-floating point enters this module.
+facets (`_ridges`); the compact facets of a Newton polyhedron are fanned
+the same way for multiplicities. A point set of lower affine dimension
+is flattened by a coordinate chart: the pivot columns of the integer row
+echelon form of its differences, onto which it projects one-to-one.
+Degenerate hulls, the point sets a triangulation starts from and
+lower-dimensional cones work on the projected points and read their
+answers back by index, with no linear solve. Everything else (hulls,
+duals, volumes, lattice counts, the counting and Riemann-sum probes)
+runs over `fractions.Fraction`; no floating point enters this module.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -285,24 +288,35 @@ def _fan(points, facets, d):
     """
     if d == 1:
         return [tuple(_members(facets[0] | facets[1]))]
-    apex = min((i for face in facets for i in _members(face)), key=points.__getitem__)
+    union = 0
+    for face in facets:
+        union |= face
+    apex = min(_members(union), key=points.__getitem__)
     simplices = []
     for k, face in enumerate(facets):
         if face >> apex & 1:
             continue
-        meets = [face & other for j, other in enumerate(facets) if j != k]
-        ridges = []
-        for m in meets:
-            if m and m not in ridges and not any(m & n == m and m != n for n in meets):
-                ridges.append(m)
-        for sub in _fan(points, ridges, d - 1):
+        for sub in _fan(points, _ridges(face, facets[:k] + facets[k + 1 :]), d - 1):
             simplices.append((apex,) + sub)
     return simplices
 
 
+def _ridges(face, others):
+    """The facets of a face, as the vertex bitmasks of its maximal
+    nonempty intersections with ``others``, the vertex bitmasks of the
+    other facets of the polytope, in order of first appearance."""
+    meets = [m for m in dict.fromkeys(face & other for other in others) if m]
+    return [m for m in meets if not any(m & n == m and m != n for n in meets)]
+
+
 def _members(mask):
     """The set bits of a bitmask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _simplices(body):
@@ -632,7 +646,7 @@ def _extreme_rays(normals, dim):
         if index in chosen:
             continue
         bit = 1 << index
-        values = [sum(x * y for x, y in zip(a, ray)) for ray in rays]
+        values = [sum(map(operator.mul, a, ray)) for ray in rays]
         kept_rays, kept_zeros, plus, minus = [], [], [], []
         for i, value in enumerate(values):
             if value < 0:
@@ -645,9 +659,8 @@ def _extreme_rays(normals, dim):
         for i in plus:
             for j in minus:
                 common = zeros[i] & zeros[j]
-                if common.bit_count() < dim - 2 or any(
-                    z & common == common for k, z in enumerate(zeros) if k != i and k != j
-                ):
+                # i and j hold their common zeros; a third ray must not
+                if common.bit_count() < dim - 2 or sum(z & common == common for z in zeros) > 2:
                     continue
                 vi, vj = values[i], values[j]
                 kept_rays.append(linalg.primitive([vi * y - vj * x for x, y in zip(rays[i], rays[j])]))
@@ -667,10 +680,12 @@ class Polyhedron:
     The facet system is derived once by :func:`_extreme_rays` on the
     homogenization cone one dimension higher, over the rows (p, 1) for
     points p and (r, 0) for rays r; the V-form and the derived H-form
-    therefore describe the same set exactly, in integers.
+    therefore describe the same set exactly, in integers. The zero set
+    of each facet over the point rows is kept beside it as
+    ``incidence``.
     """
 
-    __slots__ = ("dim", "points", "rays", "_facets")
+    __slots__ = ("dim", "points", "rays", "_facets", "_incidence")
 
     def __init__(self, points, rays):
         pts = sorted(set(tuple(parse_int(x, "point coordinate") for x in p) for p in points))
@@ -680,20 +695,32 @@ class Polyhedron:
         self.points = tuple(pts)
         self.rays = tuple(sorted(set(linalg.primitive(tuple(parse_int(x, "ray coordinate") for x in r)) for r in rays)))
         self._facets = None
+        self._incidence = None
 
     @property
     def facets(self):
         """Irredundant inequalities <a, x> >= c with primitive integer a, sorted."""
         if self._facets is None:
             rows = [p + (1,) for p in self.points] + [r + (0,) for r in self.rays]
+            on_points = (1 << len(self.points)) - 1
             facets = []
-            for w, _ in _extreme_rays(rows, self.dim + 1):
+            for w, zeros in _extreme_rays(rows, self.dim + 1):
                 # every facet holds a point p, so g divides w0 = -<w, p>
                 g = math.gcd(*w[:-1])
                 if g:  # g == 0 is the trivial inequality 1 >= 0
-                    facets.append((tuple(x // g for x in w[:-1]), -w[-1] // g))
-            self._facets = tuple(sorted(facets))
+                    facets.append((tuple(x // g for x in w[:-1]), -w[-1] // g, zeros & on_points))
+            facets.sort()
+            self._facets = tuple((a, c) for a, c, _ in facets)
+            self._incidence = tuple(m for _, _, m in facets)
         return self._facets
+
+    @property
+    def incidence(self):
+        """For each facet, in the order of ``facets``, the bitmask of the
+        points on it (bit i for ``points[i]``)."""
+        if self._incidence is None:
+            self.facets  # derives the incidences with the facets
+        return self._incidence
 
     def contains(self, point):
         p = _as_point(point)

@@ -20,9 +20,7 @@ from fractions import Fraction
 
 def primitive(vec):
     """Scale an integer vector by 1/gcd, keeping its direction."""
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in vec)
@@ -120,10 +118,14 @@ def rank(rows):
 def det(matrix):
     """Exact determinant of a square integer or rational matrix, as a Fraction."""
     rows, scale = _integer_rows(matrix)
+    return Fraction(_det(rows), scale)
+
+
+def _det(rows):
+    """Determinant of a square matrix of integer rows, as an int. The list
+    of rows is reduced in place."""
     pivots, sign, last = _reduce(rows, echelon=True)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return Fraction(sign * last, scale)
+    return sign * last if len(pivots) == len(rows) else 0
 
 
 def solve_affine(rows, rhs, dim):

@@ -12,6 +12,7 @@ reader turns heights back into minimal generators.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import geometry, linalg
@@ -45,7 +46,7 @@ def _antichain(points):
         return out
     out = []
     for p in pts:
-        if not any(all(q[i] <= p[i] for i in range(len(p))) for q in out):
+        if not any(all(map(operator.le, q, p)) for q in out):
             out.append(p)
     return out
 
@@ -107,7 +108,7 @@ class MonomialIdeal:
     lexicographic order, so equal ideals compare equal.
     """
 
-    __slots__ = ("n", "gens", "_colength", "_columns", "_facets")
+    __slots__ = ("n", "gens", "_colength", "_columns", "_facets", "_polyhedron")
 
     def __init__(self, n, gens):
         n = parse_int(n, "dimension")
@@ -131,6 +132,7 @@ class MonomialIdeal:
         self._colength = None
         self._columns = None
         self._facets = None
+        self._polyhedron = None
 
     @classmethod
     def _from_corners(cls, n, gens):
@@ -254,6 +256,13 @@ class MonomialIdeal:
         rays = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
         return geometry.Polyhedron(self.gens, rays)
 
+    def _newton(self):
+        """The Newton polyhedron, built once per ideal: the Newton facets
+        and the multiplicity read the same facets and incidences."""
+        if self._polyhedron is None:
+            self._polyhedron = self.newton_polyhedron()
+        return self._polyhedron
+
     def lower_hull(self):
         """Vertices of the compact edges of the Newton polygon (n = 2),
         by increasing first exponent: the monotone-chain lower hull of
@@ -286,7 +295,7 @@ class MonomialIdeal:
 
     def _newton_facets(self):
         if self.n != 2:
-            return [(normal, c) for normal, c in self.newton_polyhedron().facets if c > 0]
+            return [(normal, c) for normal, c in self._newton().facets if c > 0]
         hull = self.lower_hull()
         facets = []
         if hull[0][0] > 0:
@@ -303,18 +312,36 @@ class MonomialIdeal:
         """Hilbert-Samuel multiplicity e(a): n! times the covolume of the
         Newton polyhedron in the orthant. That region is the union of the
         cones from the origin over the compact Newton facets, so e(a) sums
-        |det| over a triangulation of each facet by the generators on it.
-        An exact integer for m-primary monomial ideals; cross-checkable
-        against the colength-of-powers limit n! l(R/a^m)/m^n.
+        |det| over a triangulation of each facet by its vertices.
+
+        For n = 2 the facets are the edges of the lower hull. From n = 3 on
+        everything is read off the facet incidences of the one Newton
+        polyhedron: its vertices by `geometry._vertices`, the ridges of
+        each compact facet (c > 0) as its maximal intersections with the
+        other facets, and the fan of `geometry._fan` over those ridges. No
+        facet is charted or hulled again. An exact integer for m-primary
+        monomial ideals; cross-checkable against the colength-of-powers
+        limit n! l(R/a^m)/m^n and the covolume of the box-truncated
+        polyhedron.
         """
         if not self.is_primary:
             raise ValidationError("infinite-covolume", "multiplicity is finite only for m-primary ideals")
-        total = Fraction(0)
-        for normal, c in self.newton_facets():
-            face = [g for g in self.gens if linalg.dot(normal, g) == c]
-            for simplex in geometry._triangulate_indices(face, self.n - 1):
-                total += abs(linalg.det([face[i] for i in simplex]))
-        return total
+        if self.n == 1:
+            return Fraction(self.gens[0][0])
+        if self.n == 2:
+            hull = self.lower_hull()
+            return Fraction(sum(abs(x0 * y1 - x1 * y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])))
+        poly = self._newton()
+        facets, points = poly.facets, poly.points
+        corners = sum(1 << i for i in geometry._vertices(poly.incidence, len(points)))
+        masks = [m & corners for m in poly.incidence]
+        total = 0
+        for k, (_, c) in enumerate(facets):
+            if c > 0:
+                ridges = geometry._ridges(masks[k], masks[:k] + masks[k + 1 :])
+                for simplex in geometry._fan(points, ridges, self.n - 1):
+                    total += abs(linalg._det([points[i] for i in simplex]))
+        return Fraction(total)
 
     def integral_closure(self):
         """Ideal of all lattice points of the Newton polyhedron.

@@ -904,3 +904,19 @@ class TestVerify:
         cross = next(r for r in results if r.name == "engine-cross-validation")
         assert cross.hard_failure and not cross.passed
         assert "its pairings give" in cross.measured
+
+    def test_multiplicity_off_by_one_in_three_variables_trips_exit_four(self, monkeypatch):
+        # the colength checks run in two variables; only the box covolume
+        # sees a multiplicity that is wrong on n = 3 ideals alone
+        true_mult = monomials.MonomialIdeal.multiplicity
+
+        def tampered(self):
+            e = true_mult(self)
+            return e + 1 if self.n == 3 else e
+
+        monkeypatch.setattr(monomials.MonomialIdeal, "multiplicity", tampered)
+        results = acceptance.run_suite("fast")
+        assert acceptance.suite_exit_code(results) == 4
+        assert [r.name for r in results if not r.passed] == ["engine-cross-validation"]
+        cross = next(r for r in results if r.name == "engine-cross-validation")
+        assert cross.hard_failure and "the box covolume gave" in cross.measured

@@ -560,6 +560,48 @@ class TestPolyhedron:
                 assert poly.contains(point)
 
 
+def _assert_incidence(poly):
+    """Each facet's point mask is the set of points p with <normal, p> == c."""
+    assert len(poly.incidence) == len(poly.facets)
+    for (normal, c), mask in zip(poly.facets, poly.incidence):
+        assert mask == sum(1 << i for i, p in enumerate(poly.points) if linalg.dot(normal, p) == c)
+
+
+class TestPolyhedronIncidence:
+    def test_newton_polyhedra(self):
+        rng = random.Random(12)
+        ideals = list(itertools.islice(M.enumerate_staircases(3, 4), 0, None, 7))
+        ideals += [M.maximal_power(n, k) for n in (2, 3, 4) for k in (1, 3)]
+        for _ in range(30):
+            gens = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(rng.randint(1, 7))]
+            ideals.append(M.MonomialIdeal(4, [g for g in gens if any(g)] or [(1, 1, 1, 1)]))
+        for ideal in ideals:
+            _assert_incidence(ideal.newton_polyhedron())
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [(1, 0), (1, 2)],
+            [(2, -1), (-1, 2)],
+            [(1, 1, 0), (0, 1, 1), (1, 0, 1)],
+            [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 0, 1)],
+            [(1, -1, 2), (0, 1, 0), (2, 1, -1)],
+            [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (1, 0, 0, 0)],
+        ],
+    )
+    def test_rays_that_are_not_the_orthant(self, rays):
+        rng = random.Random(len(rays) * 10 + len(rays[0]))
+        d = len(rays[0])
+        for _ in range(25):
+            points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+            # three collinear points and a point shifted along a ray, so
+            # that facets hold points that are not vertices
+            p, v = points[0], tuple(rng.randint(-1, 1) for _ in range(d))
+            points += [tuple(x + y for x, y in zip(p, v)), tuple(x + 2 * y for x, y in zip(p, v))]
+            points.append(tuple(x + y for x, y in zip(points[-1], rng.choice(rays))))
+            _assert_incidence(G.Polyhedron(points, rays))
+
+
 def _cone_over(points):
     return [tuple(v) + (1,) for v in points]
 

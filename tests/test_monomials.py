@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from hatvol import geometry as G
+from hatvol import linalg
 from hatvol import monomials as M
 from hatvol.errors import BudgetExceededError, ValidationError
 
@@ -65,6 +68,42 @@ def reference_enumeration(n, k, min_colength=1, contain_power=0):
         heights.pop(u, None)
 
     yield from rec(0)
+
+
+def rehull_multiplicity(ideal):
+    """Reference multiplicity: the generators on each Newton facet found by
+    dot products, then charted, hulled again and triangulated on their
+    own, with |det| summed over the simplices."""
+    total = 0
+    for normal, c in ideal.newton_facets():
+        face = [g for g in ideal.gens if linalg.dot(normal, g) == c]
+        for simplex in G._triangulate_indices(face, ideal.n - 1):
+            total += abs(linalg.det([face[i] for i in simplex]))
+    return total
+
+
+def facet_rich_ideals(n, count, seed):
+    """Seeded m-primary ideals with generators that are not vertices of
+    their Newton facets: lattice points on the edges between two pure
+    powers and inside the facet through all of them, plus a few random
+    points, which may cut that facet up."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        degs = [rng.choice((2, 3, 4, 6)) for _ in range(n)]
+        lcm = math.lcm(*degs)
+        plane = [
+            u for u in itertools.product(*[range(d + 1) for d in degs])
+            if sum(x * (lcm // d) for x, d in zip(u, degs)) == lcm
+        ]
+        edges = [u for u in plane if sum(1 for x in u if x) == 2]
+        inner = [u for u in plane if sum(1 for x in u if x) > 2]
+        gens = [u for u in plane if sum(1 for x in u if x) == 1]
+        gens += rng.sample(edges, min(len(edges), rng.randint(0, 3)))
+        gens += rng.sample(inner, min(len(inner), rng.randint(0, 3)))
+        gens += [tuple(rng.randint(0, d) for d in degs) for _ in range(rng.randint(0, 2))]
+        out.append(M.MonomialIdeal(n, [g for g in gens if any(g)]))
+    return out
 
 
 class TestColength:
@@ -193,6 +232,48 @@ class TestMultiplicity:
             seq = [F(2 * ideal.power(m).colength(), m * m) for m in (5, 10, 20, 40)]
             assert all(v >= e for v in seq)
             assert all(a >= b for a, b in zip(seq, seq[1:]))
+
+    def test_matches_the_rehull_on_every_n3_k4_ideal(self):
+        for ideal in M.enumerate_staircases(3, 4):
+            assert ideal.multiplicity() == rehull_multiplicity(ideal)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (3, 4) for k in range(1, 6)])
+    def test_matches_the_rehull_on_maximal_powers(self, n, k):
+        # every generator of degree k lies on the one compact facet
+        ideal = M.maximal_power(n, k)
+        assert ideal.multiplicity() == rehull_multiplicity(ideal) == k**n
+
+    def test_matches_the_rehull_with_generators_inside_facets_and_on_edges(self):
+        crowded = 0
+        for ideal in facet_rich_ideals(4, 100, seed=41):
+            assert ideal.multiplicity() == rehull_multiplicity(ideal)
+            crowded += any(
+                sum(linalg.dot(normal, g) == c for g in ideal.gens) > ideal.n
+                for normal, c in ideal.newton_facets()
+            )
+        # the corpus exercises facets with more generators than a simplex
+        assert crowded >= 50
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fans_only_over_vertices(self, monkeypatch, n):
+        # `geometry._fan` takes vertex sets; a generator inside a facet or
+        # an edge is no vertex: it lies in the Newton polyhedron of the
+        # others
+        true_fan = G._fan
+        passed = []
+
+        def recorded(points, facets, d):
+            passed.append((points, facets))
+            return true_fan(points, facets, d)
+
+        monkeypatch.setattr(G, "_fan", recorded)
+        for ideal in [M.maximal_power(n, 3)] + facet_rich_ideals(n, 6, seed=7 * n):
+            passed.clear()
+            ideal.multiplicity()
+            used = {points[i] for points, facets in passed for mask in facets for i in G._members(mask)}
+            for g in used:
+                others = [h for h in ideal.gens if h != g]
+                assert not (others and M.MonomialIdeal(n, others).newton_polyhedron().contains(g))
 
 
 class TestNewtonPolyhedron:
@@ -450,6 +531,23 @@ class TestFacetCache:
         ideal.multiplicity()
         ideal.integral_closure()
         assert built == [ideal.gens]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_multiplicity_runs_one_double_description(self, monkeypatch, n):
+        calls = []
+        true_kernel = G._extreme_rays
+
+        def counted(normals, dim):
+            calls.append(dim)
+            return true_kernel(normals, dim)
+
+        monkeypatch.setattr(G, "_extreme_rays", counted)
+        for ideal in [M.maximal_power(n, 3)] + facet_rich_ideals(n, 5, seed=n):
+            calls.clear()
+            ideal.multiplicity()
+            ideal.newton_facets()
+            ideal.multiplicity()
+            assert calls == [n + 1]
 
 
 class TestSerialization:
