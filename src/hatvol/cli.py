@@ -3,10 +3,13 @@
 Commands: hvol, lct, mult, colength, hatl, scan, lattice, cone, qbound,
 verify. Results are JSON (rationals as "p/q" strings, floats only on
 explicitly inexact values); scan and lattice tables can also be emitted
-as CSV. Configuration precedence is flags > environment (HATVOL_*) >
-config file (flat key = value) > defaults. Exit codes: 0 success,
-2 validation error, 3 budget or non-convergence, 4 internal invariant
-violation. Errors are machine-readable JSON on standard error.
+as CSV. Each command takes only the options it reads: --out everywhere,
+--format on scan and lattice, --config on hvol, hatl and scan, the only
+commands that read settings, and --tol on hvol. Configuration precedence
+is flags > environment (HATVOL_*) > config file (flat key = value) >
+defaults. Exit codes: 0 success, 2 validation error, 3 budget or
+non-convergence, 4 internal invariant violation. Errors are
+machine-readable JSON on standard error.
 """
 
 import argparse
@@ -153,33 +156,36 @@ def _parse_k_range(text):
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (result_payload, warnings, csv_rows, stats),
-# with stats None or a payload of work counters
+# with stats None or a payload of work counters. Only hvol, hatl and scan
+# read settings, so only they resolve them.
 
 
-def _cmd_hvol(args, settings):
+def _cmd_hvol(args):
+    settings = resolve_settings(args)
     model = _load_model(args.model)
     result = invariants.hvol(model, tolerance=settings.tol)
     return result.to_payload(), list(result.warnings), None, None
 
 
-def _cmd_lct(args, settings):
+def _cmd_lct(args):
     model = _load_model(args.model)
     ideal = _load_ideal(args.ideal)
     return invariants.lct(model, ideal).to_payload(), [], None, None
 
 
-def _cmd_mult(args, settings):
+def _cmd_mult(args):
     ideal = _load_ideal(args.ideal)
     value = ideal.multiplicity()
     return {"value": format_rational(value), "exact": True}, [], None, None
 
 
-def _cmd_colength(args, settings):
+def _cmd_colength(args):
     ideal = _load_ideal(args.ideal)
     return {"value": ideal.colength(), "exact": True}, [], None, None
 
 
-def _cmd_hatl(args, settings):
+def _cmd_hatl(args):
+    settings = resolve_settings(args)
     model = _load_model(args.model)
     stats = invariants.ScanStats()
     value, argmin = invariants.normalized_colength(
@@ -195,7 +201,8 @@ def _cmd_hatl(args, settings):
     return payload, [invariants.EQUIVARIANT_WARNING], None, stats.to_payload()
 
 
-def _cmd_scan(args, settings):
+def _cmd_scan(args):
+    settings = resolve_settings(args)
     model = _load_model(args.model)
     if not isinstance(model, MonomialPair):
         raise ValidationError("invalid-model", "scan expects a monomial_pair model")
@@ -207,7 +214,7 @@ def _cmd_scan(args, settings):
     return scan.to_payload(), list(scan.warnings), scan.csv_rows(), stats.to_payload()
 
 
-def _cmd_lattice(args, settings):
+def _cmd_lattice(args):
     body = _load_body(args.body)
     epsilon = parse_rational(args.epsilon) if args.epsilon is not None else Fraction(1, 20)
     probe = geometry.counting_error_probe(body, _parse_k_range(args.k_range), epsilon=epsilon)
@@ -222,7 +229,7 @@ def _cmd_lattice(args, settings):
     return payload, [], rows, None
 
 
-def _cmd_cone(args, settings):
+def _cmd_cone(args):
     model = _load_model(args.model)
     if not isinstance(model, FanoConeInput):
         raise ValidationError("invalid-model", "cone construction expects a fano_cone model")
@@ -235,7 +242,7 @@ def _cmd_cone(args, settings):
     return payload, [], None, None
 
 
-def _cmd_qbound(args, settings):
+def _cmd_qbound(args):
     model = _load_model(args.model)
     if not isinstance(model, FanoConeInput):
         raise ValidationError("invalid-model", "q-bound check expects a fano_cone model")
@@ -290,18 +297,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, ideal=False):
+    def common(p, model=False, ideal=False, config=False, table=False):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         if ideal:
             p.add_argument("--ideal", required=True, help="ideal JSON file")
         p.add_argument("--out", help="write the report to this file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, help="numeric tolerance override")
-        p.add_argument("--config", help="key = value configuration file")
+        if table:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if config:
+            p.add_argument("--config", help="key = value configuration file")
 
     p = sub.add_parser("hvol", help="normalized volume of a model")
-    common(p, model=True)
+    common(p, model=True, config=True)
+    p.add_argument("--tol", type=float, help="numeric tolerance override")
     p = sub.add_parser("lct", help="log canonical threshold of an ideal on a model")
     common(p, model=True, ideal=True)
     p = sub.add_parser("mult", help="Hilbert-Samuel multiplicity of an ideal")
@@ -309,18 +318,18 @@ def build_parser():
     p = sub.add_parser("colength", help="colength of an m-primary ideal")
     common(p, ideal=True)
     p = sub.add_parser("hatl", help="normalized colength at one level k")
-    common(p, model=True)
+    common(p, model=True, config=True)
     p.add_argument("--c", required=True, help="colength fraction c (rational)")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--mode", choices=("exact", "upper"), default="exact")
     p = sub.add_parser("scan", help="normalized colength convergence scan")
-    common(p, model=True)
+    common(p, model=True, config=True, table=True)
     p.add_argument("--c", help="colength fraction c (rational); default e(m)/(4 n!)")
     p.add_argument("--k-min", dest="k_min", type=int, default=2)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "upper"), default="exact")
     p = sub.add_parser("lattice", help="lattice point counting error probe")
-    common(p)
+    common(p, table=True)
     p.add_argument("--body", required=True, help="body JSON file with rational vertices")
     p.add_argument("--k-range", dest="k_range", required=True, help="dilations, e.g. 20,40,80 or 2:100")
     p.add_argument("--epsilon", help="error threshold (rational), default 1/20")
@@ -335,9 +344,7 @@ def build_parser():
 
 
 def _emit(args, report, csv_rows):
-    if args.format == "csv":
-        if csv_rows is None:
-            raise ValidationError("invalid-format", f"{args.command} has no CSV representation")
+    if getattr(args, "format", "json") == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerows(csv_rows)
@@ -366,10 +373,9 @@ def main(argv=None):
         args = _parser().parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args)
-        settings = resolve_settings(args)
         handler = _HANDLERS[args.command]
         started = time.perf_counter()
-        payload, warnings, csv_rows, stats = handler(args, settings)
+        payload, warnings, csv_rows, stats = handler(args)
         job = {"command": args.command, "parameters": {}}
         for key in ("model", "ideal", "body", "c", "k", "k_min", "k_max", "k_range", "mode", "q", "epsilon"):
             value = getattr(args, key, None)

@@ -15,11 +15,13 @@ read off these incidences, with no dot product and no rank test:
 other point's set, and one fan, `_fan`, from the least vertex (no
 centroid) triangulates every hull, volumes and barycenters included,
 taking the facets of a face as its maximal intersections with the other
-facets (`_ridges`); the compact facets of a Newton polyhedron are fanned
-the same way for multiplicities. A point set of lower affine dimension
-is flattened by a coordinate chart: the pivot columns of the integer row
-echelon form of its differences, onto which it projects one-to-one.
-Degenerate hulls, the point sets a triangulation starts from and
+facets (`_ridges`). A `Polyhedron` owns its covolume: it fans each facet
+<a, x> >= c with c > 0 the same way and sums the cones from the origin
+over the simplices, whatever its recession rays; over the orthant that
+is the multiplicity of a monomial ideal. A point set of lower affine
+dimension is flattened by a coordinate chart: the pivot columns of the
+integer row echelon form of its differences, onto which it projects
+one-to-one. Degenerate hulls, the point sets a triangulation starts from and
 lower-dimensional cones work on the projected points and read their
 answers back by index, with no linear solve. Everything else (hulls,
 duals, volumes, lattice counts, the counting and Riemann-sum probes)
@@ -674,26 +676,28 @@ def _extreme_rays(normals, dim):
 
 
 class Polyhedron:
-    """An unbounded polyhedron given by integer generating points plus
+    """An unbounded polyhedron P given by integer generating points plus
     recession rays.
 
-    The facet system is derived once by :func:`_extreme_rays` on the
-    homogenization cone one dimension higher, over the rows (p, 1) for
-    points p and (r, 0) for rays r; the V-form and the derived H-form
-    therefore describe the same set exactly, in integers. The zero set
-    of each facet over the point rows is kept beside it as
-    ``incidence``.
+    Points and rays are int vectors from inside the package (Newton
+    polyhedra), so they are not parsed again: the points are sorted and
+    deduplicated, the rays made primitive. The facet system is derived
+    once by :func:`_extreme_rays` on the homogenization cone one
+    dimension higher, over the rows (p, 1) for points p and (r, 0) for
+    rays r; the V-form and the derived H-form therefore describe the
+    same set exactly, in integers. The zero set of each facet over the
+    point rows is kept beside it as ``incidence``.
     """
 
     __slots__ = ("dim", "points", "rays", "_facets", "_incidence")
 
     def __init__(self, points, rays):
-        pts = sorted(set(tuple(parse_int(x, "point coordinate") for x in p) for p in points))
+        pts = sorted(set(map(tuple, points)))
         if not pts:
             raise ValidationError("empty-input", "a polyhedron needs at least one point")
         self.dim = len(pts[0])
         self.points = tuple(pts)
-        self.rays = tuple(sorted(set(linalg.primitive(tuple(parse_int(x, "ray coordinate") for x in r)) for r in rays)))
+        self.rays = tuple(sorted(set(linalg.primitive(tuple(r)) for r in rays)))
         self._facets = None
         self._incidence = None
 
@@ -721,6 +725,30 @@ class Polyhedron:
         if self._incidence is None:
             self.facets  # derives the incidences with the facets
         return self._incidence
+
+    def covolume(self):
+        """dim! times the volume between P and the origin, as an int, for
+        dim >= 2: the sum of |det| over the fan from the origin of each
+        facet with c > 0, triangulated by its vertices.
+
+        The vertices come from `_vertices` on the incidences, the facets
+        of each such facet from `_ridges` and its triangulation from
+        `_fan`, so no facet is charted or hulled again. When the points
+        lie in the pointed cone C of the rays and P meets every ray of C,
+        each facet with c > 0 is compact and the sum is dim! times the
+        volume of C outside P; for the nonnegative orthant that is the
+        multiplicity of a monomial ideal from its Newton polyhedron.
+        """
+        facets, points = self.facets, self.points
+        corners = sum(1 << i for i in _vertices(self.incidence, len(points)))
+        masks = [m & corners for m in self.incidence]
+        total = 0
+        for k, (_, c) in enumerate(facets):
+            if c > 0:
+                ridges = _ridges(masks[k], masks[:k] + masks[k + 1 :])
+                for simplex in _fan(points, ridges, self.dim - 1):
+                    total += abs(linalg._det([points[i] for i in simplex]))
+        return total
 
     def contains(self, point):
         p = _as_point(point)

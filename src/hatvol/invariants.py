@@ -780,14 +780,11 @@ def kss_via_cone(fano, tolerance=1e-6, check_oracle=True):
     model = cone_construction(fano)
     result = hvol_toric(model, tolerance=min(tolerance, 1e-9))
     bound = fano_degree_bound(fano)
-    if result.exact:
-        margin = bound - result.value
-        over = margin < -tolerance * bound
-        semistable = result.value == bound or abs(margin) <= tolerance * bound
-    else:
-        margin = float(bound) - result.value
-        over = margin < -tolerance * float(bound)
-        semistable = abs(margin) <= tolerance * float(bound)
+    # compare in the value's own arithmetic: exact values in Fraction
+    b = bound if result.exact else float(bound)
+    margin = b - result.value
+    over = margin < -tolerance * b
+    semistable = abs(margin) <= tolerance * b
     if over:
         raise InvariantViolationError(
             "kss-bound-violated",

@@ -190,10 +190,8 @@ def truncated_dual_body(model, xi):
 
 def normalized_volume_of_valuation(model, valuation):
     """A(v)^n vol(v), the quantity whose infimum is the normalized volume."""
-    n = model.n if isinstance(model, (MonomialPair, ToricSingularity)) else None
-    if n is None:
-        raise ValidationError("invalid-model", f"unsupported model {type(model).__name__}")
-    return log_discrepancy(model, valuation) ** n * valuation_volume(model, valuation)
+    # log_discrepancy refuses an unsupported model before model.n is read
+    return log_discrepancy(model, valuation) ** model.n * valuation_volume(model, valuation)
 
 
 def cone_construction(fano):

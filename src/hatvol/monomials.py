@@ -152,12 +152,7 @@ class MonomialIdeal:
     @property
     def is_primary(self):
         """True when some pure power of every variable is a generator."""
-        if self.is_unit:
-            return False
-        for axis in range(self.n):
-            if not any(g[axis] > 0 and all(g[j] == 0 for j in range(self.n) if j != axis) for g in self.gens):
-                return False
-        return True
+        return not self.is_unit and None not in self.pure_degrees()
 
     def pure_degrees(self):
         """Per-axis exponent of the pure-power generator; None where absent."""
@@ -315,14 +310,12 @@ class MonomialIdeal:
         |det| over a triangulation of each facet by its vertices.
 
         For n = 2 the facets are the edges of the lower hull. From n = 3 on
-        everything is read off the facet incidences of the one Newton
-        polyhedron: its vertices by `geometry._vertices`, the ridges of
-        each compact facet (c > 0) as its maximal intersections with the
-        other facets, and the fan of `geometry._fan` over those ridges. No
-        facet is charted or hulled again. An exact integer for m-primary
-        monomial ideals; cross-checkable against the colength-of-powers
-        limit n! l(R/a^m)/m^n and the covolume of the box-truncated
-        polyhedron.
+        it is `geometry.Polyhedron.covolume` of the one Newton polyhedron,
+        read off the facet incidences that the Newton facets come from,
+        with no facet charted or hulled again. An exact integer for
+        m-primary monomial ideals; cross-checkable against the
+        colength-of-powers limit n! l(R/a^m)/m^n and the covolume of the
+        box-truncated polyhedron.
         """
         if not self.is_primary:
             raise ValidationError("infinite-covolume", "multiplicity is finite only for m-primary ideals")
@@ -331,17 +324,7 @@ class MonomialIdeal:
         if self.n == 2:
             hull = self.lower_hull()
             return Fraction(sum(abs(x0 * y1 - x1 * y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])))
-        poly = self._newton()
-        facets, points = poly.facets, poly.points
-        corners = sum(1 << i for i in geometry._vertices(poly.incidence, len(points)))
-        masks = [m & corners for m in poly.incidence]
-        total = 0
-        for k, (_, c) in enumerate(facets):
-            if c > 0:
-                ridges = geometry._ridges(masks[k], masks[:k] + masks[k + 1 :])
-                for simplex in geometry._fan(points, ridges, self.n - 1):
-                    total += abs(linalg._det([points[i] for i in simplex]))
-        return Fraction(total)
+        return Fraction(self._newton().covolume())
 
     def integral_closure(self):
         """Ideal of all lattice points of the Newton polyhedron.

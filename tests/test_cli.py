@@ -201,7 +201,7 @@ class TestErrorPaths:
             "--model": ["hvol", "--model", str(path)],
             "--ideal": ["mult", "--ideal", str(path)],
             "--body": ["lattice", "--body", str(path), "--k-range", "1:2"],
-            "--config": ["mult", "--ideal", x2y3, "--config", str(path)],
+            "--config": ["hvol", "--model", an2, "--config", str(path)],
         }[flag]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -421,9 +421,10 @@ class TestErrorPaths:
         assert result["holds"] is True and result["oracle"] is True
 
     def test_csv_unsupported(self, capsys, an2):
+        # only scan and lattice take --format
         code, _, err = run(capsys, "hvol", "--model", an2, "--format", "csv")
         assert code == 2
-        assert json.loads(err)["error"] == "invalid-format"
+        assert json.loads(err)["error"] == "invalid-arguments"
 
 
 # JSON values for fuzzed documents: small numbers and strings near the
@@ -532,7 +533,7 @@ FUZZ_ARGVS = [
     ["hatl", "--model", "an2.json", "--c", "1/8", "--k", "3"],
     ["scan", "--model", "an2.json", "--c", "1/8", "--k-min", "2", "--k-max", "3"],
     ["lct", "--model", "an2.json", "--ideal", "x2y3.json"],
-    ["mult", "--ideal", "x2y3.json", "--tol", "0.5"],
+    ["mult", "--ideal", "x2y3.json"],
     ["qbound", "--model", "an2.json", "--q", "2"],
     ["lattice", "--body", "square.json", "--k-range", "1:2", "--epsilon", "1/20"],
 ]
@@ -835,6 +836,57 @@ class TestConfigPrecedence:
         code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-config"
+
+
+class TestCommandOptions:
+    # each command takes the options it reads and no others: --out
+    # everywhere, --format on the commands with a CSV table, --config on
+    # those that read settings and --tol on the one that reads it
+    OPTIONS = {
+        "hvol": {"--model", "--out", "--config", "--tol"},
+        "lct": {"--model", "--ideal", "--out"},
+        "mult": {"--ideal", "--out"},
+        "colength": {"--ideal", "--out"},
+        "hatl": {"--model", "--out", "--config", "--c", "--k", "--mode"},
+        "scan": {"--model", "--out", "--format", "--config", "--c", "--k-min", "--k-max", "--mode"},
+        "lattice": {"--body", "--out", "--format", "--k-range", "--epsilon"},
+        "cone": {"--model", "--out"},
+        "qbound": {"--model", "--out", "--q"},
+        "verify": {"--suite"},
+    }
+
+    def test_each_command_takes_only_its_options(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        found = {
+            name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert found == self.OPTIONS
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_commands_without_settings_ignore_them(self, capsys, workdir, monkeypatch, an2, x2y3, source):
+        # neither an unknown key in ./hatvol.toml nor HATVOL_TOL=nan
+        # reaches a command that reads no setting
+        if source == "config":
+            (workdir / "hatvol.toml").write_text("grid_depth = 8\ntol = nan\n")
+        else:
+            monkeypatch.setenv("HATVOL_TOL", "nan")
+        square = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
+        fano = write(workdir / "p2.json", {"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3]], "r": 1})
+        for argv in (
+            ["mult", "--ideal", x2y3],
+            ["lct", "--model", an2, "--ideal", x2y3],
+            ["colength", "--ideal", x2y3],
+            ["lattice", "--body", square, "--k-range", "5,10"],
+            ["cone", "--model", fano],
+            ["qbound", "--model", fano, "--q", "3"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", (argv, err)
+            assert result_of(out)
+        # the commands that read settings still refuse them
+        code, _, err = run(capsys, "hvol", "--model", an2)
+        assert code == 2 and json.loads(err)["error"] == "invalid-config"
 
 
 class TestVerify:

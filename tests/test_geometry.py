@@ -560,6 +560,53 @@ class TestPolyhedron:
                 assert poly.contains(point)
 
 
+def _truncated_covolume(points, rays):
+    """Reference covolume of conv(points) + cone(rays), for points in the
+    cone that meet every ray: dim! (vol C_T - vol (P ∩ C_T)), where C_T
+    cuts the cone at <xi, x> <= T for an interior functional xi and a
+    level T that every point stays under. Both bodies are hulls:
+    C_T = conv(0, T r / <xi, r>), and P ∩ C_T is the hull of the points
+    and the same ray hits at level T."""
+    d = len(rays[0])
+    xi = [sum(col) for col in zip(*G.Cone(rays).dual().rays)]
+    level = max(linalg.dot(xi, p) for p in points)
+    hits = [tuple(F(level * x, linalg.dot(xi, r)) for x in r) for r in rays]
+    cut = G.convex_hull([(0,) * d] + hits).volume() - G.convex_hull(list(points) + hits).volume()
+    return math.factorial(d) * cut
+
+
+# cones that are not the orthant, the last one over a square, so not
+# simplicial
+COVOLUME_CONES = [
+    [(1, 0), (1, 2)],
+    [(2, -1), (-1, 2)],
+    [(1, 1, 0), (0, 1, 1), (1, 0, 1)],
+    [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)],
+]
+
+
+class TestCovolume:
+    @pytest.mark.parametrize("rays", COVOLUME_CONES)
+    def test_matches_the_truncated_hulls(self, rays):
+        rng = random.Random(len(rays) * 10 + len(rays[0]))
+        d = len(rays[0])
+        cone = G.Cone(rays)
+        box = [p for p in itertools.product(range(-6, 7), repeat=d) if any(p) and cone.contains(p)]
+        for _ in range(20):
+            # a multiple of each ray, so that the polyhedron meets it, and
+            # lattice points of the cone, some of them inside facets
+            points = [tuple(k * x for x in r) for k, r in zip(rng.choices((1, 2, 3), k=len(rays)), rays)]
+            points += rng.sample(box, rng.randint(0, 5))
+            poly = G.Polyhedron(points, rays)
+            value = poly.covolume()
+            assert type(value) is int and value == _truncated_covolume(points, rays)
+
+    def test_the_orthant_gives_the_multiplicity(self):
+        poly = G.Polyhedron([(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        ideal = M.MonomialIdeal(3, poly.points)
+        assert poly.covolume() == ideal.multiplicity() == _truncated_covolume(poly.points, poly.rays)
+
+
 def _assert_incidence(poly):
     """Each facet's point mask is the set of points p with <normal, p> == c."""
     assert len(poly.incidence) == len(poly.facets)

@@ -254,6 +254,19 @@ class TestMultiplicity:
         # the corpus exercises facets with more generators than a simplex
         assert crowded >= 50
 
+    def test_covolume_of_a_unimodular_image(self):
+        # a unimodular map U keeps lattice volumes: the polyhedron of U g
+        # over the columns of U has the covolume of the Newton polyhedron
+        rng = random.Random(53)
+        for ideal in [M.maximal_power(3, 3)] + facet_rich_ideals(3, 20, seed=53):
+            u = [[int(i == j) for j in range(3)] for i in range(3)]
+            for _ in range(4):
+                (i, j), m = rng.sample(range(3), 2), rng.choice((-2, -1, 1, 2))
+                u[i] = [x + m * y for x, y in zip(u[i], u[j])]
+            assert linalg.det(u) == 1
+            image = G.Polyhedron([tuple(linalg.dot(row, g) for row in u) for g in ideal.gens], list(zip(*u)))
+            assert image.covolume() == ideal.multiplicity()
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_fans_only_over_vertices(self, monkeypatch, n):
         # `geometry._fan` takes vertex sets; a generator inside a facet or
