@@ -5,9 +5,9 @@ vertices on each facet. Every facet system (of a hull, of a polyhedron
 with recession rays, of a cone) comes from one kernel, `_extreme_rays`,
 which finds the extreme rays of a dual cone by double description over
 integer normals: a simplicial start from independent rows, found by the
-fraction-free reduction of `linalg`, one cut per further row, adjacency
-read off zero sets held as bitmasks. For hulls and polyhedra the cone is
-the homogenization one dimension higher. The kernel returns each ray
+fraction-free reduction of `linalg` on a dim x dim transform block, one
+cut per further row, adjacency read off zero sets held as bitmasks. For
+hulls and polyhedra the cone is the homogenization one dimension higher. The kernel returns each ray
 with its zero set; for a hull that is the set of points on a facet, and
 a `Polyhedron` keeps it beside each facet as ``incidence``. The rest is
 read off these incidences, with no dot product and no rank test:
@@ -23,9 +23,12 @@ dimension is flattened by a coordinate chart: the pivot columns of the
 integer row echelon form of its differences, onto which it projects
 one-to-one. Degenerate hulls, the point sets a triangulation starts from and
 lower-dimensional cones work on the projected points and read their
-answers back by index, with no linear solve. Everything else (hulls,
-duals, volumes, lattice counts, the counting and Riemann-sum probes)
-runs over `fractions.Fraction`; no floating point enters this module.
+answers back by index, with no linear solve. A cone's dual is read off
+its own double description, with no second one. Integer input stays in
+integers: cones, polyhedra, the kernel, fans and covolumes, and
+membership tests of int points. Rational vertices, volumes,
+barycenters and the counting and Riemann-sum probes run over
+`fractions.Fraction`; no floating point enters this module.
 """
 
 import itertools
@@ -104,8 +107,9 @@ class ConvexBody:
         return f"ConvexBody(dim={self.dim}, vertices={len(self.vertices)}, affine_dim={self._affine_dim})"
 
     def contains(self, point, strict=False):
-        """Exact membership test; ``strict`` tests the interior."""
-        p = _as_point(point)
+        """Exact membership test; ``strict`` tests the interior. A point of
+        ints is tested as it is, with no conversion to `Fraction`."""
+        p = tuple(point) if all(type(x) is int for x in point) else _as_point(point)
         if len(p) != self.dim:
             raise ValidationError("dimension-mismatch", "point dimension differs from body dimension")
         for normal, rhs in self._equations:
@@ -574,10 +578,21 @@ class Cone:
         return Cone([_project(r, chart) for r in self.rays]).is_pointed
 
     def dual(self):
-        """The dual cone {u : <u, v> >= 0 for all rays v}; an involution."""
+        """The dual cone {u : <u, v> >= 0 for all rays v}; an involution.
+
+        No second double description: the rays `_extreme_rays` gave this
+        cone's facets are primitive, extreme and sorted, so they are the
+        dual's rays; the dual of a pointed full-dimensional cone is again
+        pointed and full-dimensional, and its own facet normals are this
+        cone's rays."""
         if not (self._full and self._pointed):
             raise ValidationError("invalid-cone", "dual cone requires a pointed full-dimensional cone")
-        return Cone(self._dual_rays)
+        dual = Cone.__new__(Cone)
+        dual.dim = self.dim
+        dual.rays = tuple(self._dual_rays)
+        dual._dual_rays = list(self.rays)
+        dual._pointed = dual._full = True
+        return dual
 
     def contains(self, point, strict=False):
         p = _as_point(point)
@@ -605,19 +620,31 @@ def _simplicial_start(rows, dim):
     row i and vanishes on the others. None when the rows have rank below
     dim.
 
-    The transposed rows are reduced beside an identity block by
-    `linalg._reduce`. Its pivot columns are the chosen rows, and the
-    right block E then meets them as E B^T = d I, where B holds the
-    chosen rows and d is the last pivot: row i of E, times the sign of d,
-    is ray i.
+    This is the fraction-free reduction of `linalg._reduce` on the
+    transposed rows beside an identity block, carried out on the
+    identity block E alone: every step is a row operation, so column c
+    of the reduced transpose is E times row c, read when the scan
+    reaches it. The pivot columns are the chosen rows, and the scan
+    stops at the dim-th. Then E B^T = d I, where B holds the chosen rows
+    and d is the last pivot: row i of E, times the sign of d, is ray i.
     """
-    m = len(rows)
-    block = [[a[i] for a in rows] + [int(i == j) for j in range(dim)] for i in range(dim)]
-    chosen, _, d = linalg._reduce(block)
-    if chosen[-1] >= m:
-        return None
-    sign = 1 if d > 0 else -1
-    return chosen, [linalg.primitive([sign * x for x in row[m:]]) for row in block]
+    # each row of E carries one more entry: its product with the row scanned
+    transform = [[int(i == j) for j in range(dim)] + [0] for i in range(dim)]
+    chosen, prev = [], 1
+    for c, a in enumerate(rows):
+        r = len(chosen)
+        for e in transform:
+            e[dim] = sum(map(operator.mul, e, a))
+        pivot = next((i for i in range(r, dim) if transform[i][dim]), None)
+        if pivot is None:
+            continue
+        transform[r], transform[pivot] = transform[pivot], transform[r]
+        prev = linalg._pivot(transform, r, dim, prev)
+        chosen.append(c)
+        if r + 1 == dim:
+            sign = 1 if prev > 0 else -1
+            return chosen, [linalg.primitive([sign * x for x in e[:dim]]) for e in transform]
+    return None
 
 
 def _extreme_rays(normals, dim):

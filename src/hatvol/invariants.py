@@ -10,6 +10,7 @@ probes that the verification suite drives.
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -165,14 +166,17 @@ def hvol_closed_form(model):
 
 
 class _ToricObjective:
-    """The slice-restricted volume product and its derivatives.
+    """The slice-restricted volume product: float derivatives for Newton,
+    an integer certificate for the exact upgrade.
 
     The dual cone is triangulated once; on the interior the objective is
     the smooth rational function
-        f(xi) = <m, xi>^n * V(xi),  V(xi) = sum_T t_T,  t_T = |det T| / prod_{i in T} p_i,
-    with p_i = <d_i, xi> over the dual rays d_i. It is homogeneous of
-    degree zero and strictly convex on the slice <m, xi> = 1, where it
-    equals V.
+        f(xi) = <m, xi>^n * V(xi),  V(xi) = sum_T c_T / prod_{i in T} p_i,
+    with p_i = <d_i, xi> over the dual rays d_i and c_T = |det T|. It is
+    homogeneous of degree zero and strictly convex on the slice
+    <m, xi> = 1, where it equals V. The triangulation is that of the dual
+    rays scaled onto one level of <xi0, .>, xi0 the sum of the rays:
+    integer points d_i (l / l_i), l_i = <xi0, d_i> and l their lcm.
     """
 
     def __init__(self, model):
@@ -180,22 +184,25 @@ class _ToricObjective:
         self.m = model.m_covector
         self.duals = list(model.dual_cone.rays)
         xi0 = tuple(sum(c) for c in zip(*model.cone.rays))
-        points = []
-        for d in self.duals:
-            level = linalg.dot(xi0, d)
-            points.append(tuple(Fraction(x) / level for x in d))
+        levels = [linalg.dot(xi0, d) for d in self.duals]
+        top = math.lcm(*levels)
+        points = [tuple(x * (top // level) for x in d) for d, level in zip(self.duals, levels)]
         self.simplices = [
             (tri, int(abs(linalg.det([self.duals[i] for i in tri]))))
             for tri in geometry._triangulate_indices(points, self.n - 1)
         ]
+        self.scale = math.lcm(*(x.denominator for x in self.m))
+        self.covector = linalg.clear_denominators(self.m)
 
     def derivatives(self, xi):
         """(f, grad f, H) at a point xi of the slice, in the arithmetic of xi.
 
-        Floats give the Newton data, Fractions the exact certificate. H is
-        the Hessian of V, sum_T t_T (s_T s_T^T + sum_{i in T} d_i d_i^T / p_i^2)
-        with s_T = sum_{i in T} d_i / p_i; it agrees with the Hessian of f
-        on directions tangent to the slice, the only ones a step takes.
+        Newton calls it in floats; the exact upgrade reads `certificate`
+        instead. H is the Hessian of V,
+        sum_T t_T (s_T s_T^T + sum_{i in T} d_i d_i^T / p_i^2) with
+        t_T = c_T / prod_{i in T} p_i and s_T = sum_{i in T} d_i / p_i; it
+        agrees with the Hessian of f on directions tangent to the slice,
+        the only ones a step takes.
         """
         n = self.n
         pairings = [linalg.dot(d, xi) for d in self.duals]
@@ -216,6 +223,37 @@ class _ToricObjective:
                     hess[j][k] += t * (s[j] * s[k] + sum(u[j] * u[k] for u in scaled))
         gradient = tuple(n * mj * value + dj for mj, dj in zip(self.m, dvol))
         return value, gradient, hess
+
+    def certificate(self, xi):
+        """(f(xi), whether grad f(xi) = 0) at a rational interior point xi,
+        on the slice or not, in integers up to the one final `Fraction`.
+
+        xi is scaled to an integer point x. With p_i = <d_i, x>,
+        Q = prod_i p_i, A_T = c_T Q / prod_{i in T} p_i, m = mm / M for an
+        integer vector mm and L = <mm, x>,
+            f = L^n sum_T A_T / (M^n Q),
+        and Q^2 M^n / L^(n-1) times the j-th partial derivative of f is
+            sum_T A_T (n mm_j Q - L sum_{i in T} d_ij Q / p_i),
+        so the gradient vanishes exactly when these sums all do.
+        """
+        n = self.n
+        x = linalg.clear_denominators(xi)
+        pairings = [sum(map(operator.mul, d, x)) for d in self.duals]
+        whole = math.prod(pairings)
+        cofactors = [whole // p for p in pairings]
+        level = sum(map(operator.mul, self.covector, x))
+        total = 0
+        sums = [0] * n  # sum_T A_T sum_{i in T} d_ij Q / p_i
+        for tri, c in self.simplices:
+            prod = 1
+            for i in tri:
+                prod *= pairings[i]
+            weight = c * whole // prod
+            total += weight
+            for j in range(n):
+                sums[j] += weight * sum(self.duals[i][j] * cofactors[i] for i in tri)
+        stationary = all(n * mj * whole * total == level * s for mj, s in zip(self.covector, sums))
+        return Fraction(level**n * total, self.scale**n * whole), stationary
 
 
 # Damped Newton on the slice. f is a float sum of a few terms, so its
@@ -296,12 +334,13 @@ def hvol_toric(model, tolerance=1e-9):
 
     # rational upgrade near a low-height rational point
     candidate = tuple(Fraction(x).limit_denominator(64) for x in xi_unit)
+    point = linalg.clear_denominators(candidate)
     upgraded = None
-    if model.is_interior(candidate):
-        level = linalg.dot(model.m_covector, candidate)
-        candidate = tuple(x / level for x in candidate)
-        value, gradient, _ = objective.derivatives(candidate)
-        if all(g == 0 for g in gradient):
+    if model.is_interior(point):
+        value, stationary = objective.certificate(point)
+        if stationary:
+            level = linalg.dot(model.m_covector, candidate)
+            candidate = tuple(x / level for x in candidate)
             exact_value = normalized_volume_of_valuation(model, WeightValuation(candidate))
             if exact_value != value:
                 raise InvariantViolationError(

@@ -63,9 +63,7 @@ class ToricSingularity:
         if not (cone.is_full_dimensional and cone.is_pointed):
             raise ValidationError("invalid-cone", "toric singularities need a pointed full-dimensional cone")
         self.cone = cone
-        rows = [list(map(Fraction, r)) for r in cone.rays]
-        rhs = [Fraction(1)] * len(rows)
-        m = linalg.solve_affine(rows, rhs, cone.dim)
+        m = linalg.solve_affine(cone.rays, [1] * len(cone.rays), cone.dim)
         if m is None or any(linalg.dot(m, r) != 1 for r in cone.rays):
             raise ValidationError("not-q-gorenstein", "no covector pairs to one with every ray")
         self.m_covector = m

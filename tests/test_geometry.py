@@ -732,6 +732,130 @@ class TestFacetKernel:
         assert info.value.code == "rank-deficient"
 
 
+def _full_block_start(rows, dim):
+    """`_simplicial_start` as it was first written: the whole transposed
+    block beside the identity, reduced to the end by `linalg._reduce`."""
+    m = len(rows)
+    block = [[a[i] for a in rows] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    chosen, _, d = linalg._reduce(block)
+    if chosen[-1] >= m:
+        return None
+    sign = 1 if d > 0 else -1
+    return chosen, [linalg.primitive([sign * x for x in row[m:]]) for row in block]
+
+
+def _seeded_row_sets(seed, count):
+    """Integer row sets in dimensions 1..5, at least dim rows each, a
+    third of them spanning fewer dimensions (integer combinations of
+    fewer random rows), some with zero, repeated or negated rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 5)
+        rank = rng.randint(0, dim - 1) if rng.random() < 1 / 3 else dim
+        basis = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rank)]
+        rows = []
+        for _ in range(rng.randint(dim, dim + 4)):
+            row = [0] * dim
+            for b in basis:
+                c = rng.randint(-2, 2)
+                row = [x + c * y for x, y in zip(row, b)]
+            rows.append(tuple(row))
+        if rows and rng.random() < 0.3:
+            rows.append(tuple(-x for x in rng.choice(rows)) if rng.random() < 0.5 else rng.choice(rows))
+        yield rows, dim
+
+
+class TestSimplicialStart:
+    def test_matches_the_full_block_reduction(self):
+        cases = deficient = 0
+        for rows, dim in _seeded_row_sets(17, 3000):
+            expected = _full_block_start(rows, dim)
+            assert G._simplicial_start(rows, dim) == expected
+            cases += 1
+            deficient += expected is None
+        assert deficient >= 800 and cases - deficient >= 1500
+
+    def test_rays_pair_positively_with_their_own_row_only(self):
+        for rows, dim in _seeded_row_sets(18, 500):
+            start = G._simplicial_start(rows, dim)
+            if start is None:
+                assert linalg.rank(rows) < dim
+                continue
+            chosen, rays = start
+            assert linalg.rank([rows[i] for i in chosen]) == dim
+            for i, ray in zip(chosen, rays):
+                assert [linalg.dot(rows[j], ray) > 0 for j in chosen] == [j == i for j in chosen]
+                assert all(linalg.dot(rows[j], ray) == 0 for j in chosen if j != i)
+
+
+def _seeded_pointed_cones(seed, count, dims=(2, 3, 4)):
+    """Pointed full-dimensional cones: random rays over a positive last
+    coordinate plus sums of pairs of them, so that not every ray is
+    extreme."""
+    rng = random.Random(seed)
+    built = 0
+    while built < count:
+        d = rng.choice(dims)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(d - 1)) + (rng.randint(1, 3),) for _ in range(rng.randint(d, d + 4))]
+        if linalg.rank(rays) < d:
+            continue
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.sample(rays, 2)
+            rays.append(tuple(x + y for x, y in zip(a, b)))
+        built += 1
+        yield G.Cone(rays)
+
+
+class TestDirectDual:
+    def test_matches_the_double_description_rebuild(self):
+        rng = random.Random(5)
+        for cone in _seeded_pointed_cones(23, 120):
+            dual = cone.dual()
+            rebuilt = G.Cone(list(dual.rays))
+            assert dual.rays == rebuilt.rays
+            assert dual._dual_rays == rebuilt._dual_rays
+            assert dual.is_pointed and rebuilt.is_pointed
+            assert dual.is_full_dimensional and rebuilt.is_full_dimensional
+            box = [tuple(rng.randint(-4, 4) for _ in range(cone.dim)) for _ in range(60)]
+            for u in box + list(dual.rays):
+                for strict in (False, True):
+                    assert dual.contains(u, strict=strict) == rebuilt.contains(u, strict=strict)
+            assert dual.dual() == rebuilt.dual() == cone
+            assert dual.dual().rays == rebuilt.dual().rays == cone.rays
+            assert dual.dual()._dual_rays == rebuilt.dual()._dual_rays == cone._dual_rays
+
+
+class TestIntegerPoints:
+    def test_slice_triangulation_of_integer_points_matches_the_fraction_points(self):
+        # the dual rays of a cone scaled onto one level of <xi0, .>, once
+        # over Fractions to level 1 and once over ints to the lcm of the
+        # levels: the same simplices in the same order
+        compared = 0
+        for cone in _seeded_pointed_cones(29, 150, dims=(3, 4)):
+            duals = list(cone.dual().rays)
+            xi0 = tuple(sum(c) for c in zip(*cone.rays))
+            levels = [linalg.dot(xi0, d) for d in duals]
+            top = math.lcm(*levels)
+            fractions = [tuple(F(x, level) for x in d) for d, level in zip(duals, levels)]
+            integers = [tuple(x * (top // level) for x in d) for d, level in zip(duals, levels)]
+            assert G._triangulate_indices(integers, cone.dim - 1) == G._triangulate_indices(fractions, cone.dim - 1)
+            compared += top > 1
+        assert compared >= 100
+
+    def test_contains_on_int_points_matches_their_fraction_copies(self):
+        rng = random.Random(31)
+        # a triangle in R^3 and a segment in R^2 test the equations too
+        bodies = [unit_square(), simplex(3), G.convex_hull([(0, 0, 0), (2, 1, 0), (1, 3, 0)]), G.convex_hull([(0, 1), (2, F(1, 2))])]
+        for _ in range(20):
+            d = rng.randint(2, 4)
+            bodies.append(G.convex_hull([tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)) for _ in range(d + 3)]))
+        for body in bodies:
+            side = range(-3, 4) if body.dim < 4 else range(-2, 3)
+            for u in itertools.product(side, repeat=body.dim):
+                for strict in (False, True):
+                    assert body.contains(u, strict=strict) == body.contains(tuple(map(F, u)), strict=strict)
+
+
 def _cofactor_det(rows):
     """Reference determinant by cofactor expansion along the first row."""
     if not rows:

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,7 @@ from hatvol import linalg
 from hatvol import models as MD
 from hatvol import monomials as M
 from hatvol import simplex
+from hatvol.acceptance import random_unimodular
 from hatvol.errors import InvariantViolationError, ValidationError
 
 AN2 = MD.MonomialPair(2, (0, 0))
@@ -227,9 +230,12 @@ class TestHvolToric:
         assert abs(float(at_minimizer) - result.value) <= 1e-9 * result.value
 
     def test_derivatives_float_and_exact(self):
-        # one evaluator serves the float Newton steps and the Fraction
-        # certificate; its Hessian must match central differences of the
-        # exact gradient along directions tangent to the slice
+        # the float Newton steps read `derivatives`; the exact upgrade
+        # reads `certificate` in integers. Over Fractions, `derivatives`
+        # is the reference those tests compare against: its value is the
+        # hull volume, its floats agree with it, and its Hessian matches
+        # central differences of its exact gradient along directions
+        # tangent to the slice
         model = MD.cone_construction(fano([(-1, -1), (-1, 1), (0, 1), (2, -1)]))
         objective = I._ToricObjective(model)
         rays = model.cone.rays
@@ -256,6 +262,94 @@ class TestHvolToric:
     def test_weighted_123_cone(self):
         result = I.hvol(fano([(-1, -1), (-1, 1), (2, -1)]))
         assert result.exact and result.value == F(9, 2)
+
+
+POLYGONS = [
+    [(-1, -1), (2, -1), (-1, 2)],
+    [(-1, -1), (1, -1), (1, 1), (-1, 1)],
+    [(-1, -1), (-1, 1), (0, 1), (2, -1)],
+    [(-1, -1), (1, -1), (1, 0), (0, 1), (-1, 1)],
+    [(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)],
+    [(-1, -1), (-1, 1), (3, -1)],
+    [(-1, -1), (-1, 1), (2, -1)],
+]
+POLYTOPES_3D = [
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    [(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)],
+    list(itertools.product((0, 1), repeat=3)),
+    [tuple(s * int(i == j) for j in range(3)) for i in range(3) for s in (1, -1)],
+]
+
+
+def certificate_cones(seed=3):
+    """Q-Gorenstein cones in dimensions 3 and 4: cones over Fano bases,
+    cones over lattice polytopes at height one, simplicial cones with a
+    fractional covector, and unimodular images of the first twelve."""
+    rng = random.Random(seed)
+    cones = [MD.cone_construction(fano(p)) for p in POLYGONS]
+    cones += [MD.ToricSingularity(G.Cone([v + (1,) for v in p])) for p in POLYGONS[:3] + POLYTOPES_3D]
+    while len(cones) < 20:
+        d = rng.choice([3, 4])
+        rays = [tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(1, 3),) for _ in range(d)]
+        if linalg.rank(rays) == d:
+            cones.append(MD.ToricSingularity(G.Cone(rays)))
+    for model in cones[:12]:
+        image = model.cone
+        while image == model.cone:
+            g = random_unimodular(model.n, rng)
+            image = G.Cone([[linalg.dot(row, r) for row in g] for r in model.cone.rays])
+        cones.append(MD.ToricSingularity(image))
+    return cones
+
+
+class TestToricCertificate:
+    def test_matches_the_fraction_derivatives(self):
+        # the integer certificate against `derivatives` over Fractions on
+        # the slice: the same value and the same verdict on a zero
+        # gradient, at random interior points and at every exact minimizer
+        rng = random.Random(41)
+        cones = certificate_cones()
+        assert len(cones) >= 30 and {model.n for model in cones} == {3, 4}
+        fractional = stationary_points = 0
+        for model in cones:
+            objective = I._ToricObjective(model)
+            rays = model.cone.rays
+            points = [
+                tuple(sum(F(w) * r[i] for w, r in zip(weights, rays)) for i in range(model.n))
+                for weights in ([F(rng.randint(1, 9), rng.randint(1, 7)) for _ in rays] for _ in range(4))
+            ]
+            result = I.hvol_toric(model)
+            if result.exact:
+                points.append(result.minimizer.weights)
+            fractional += any(x.denominator > 1 for x in model.m_covector)
+            for xi in points:
+                level = linalg.dot(model.m_covector, xi)
+                value, gradient, _ = objective.derivatives(tuple(x / level for x in xi))
+                # f is homogeneous of degree zero: any scale of xi will do
+                assert objective.certificate(xi) == (value, all(g == 0 for g in gradient))
+                assert objective.certificate(tuple(3 * x for x in xi)) == (value, all(g == 0 for g in gradient))
+                stationary_points += all(g == 0 for g in gradient)
+        assert fractional >= 3 and stationary_points >= 10
+
+    def test_plane_barycenter_is_stationary(self):
+        model = MD.cone_construction(fano([(-1, -1), (2, -1), (-1, 2)]))
+        objective = I._ToricObjective(model)
+        assert objective.certificate((0, 0, 1)) == (9, True)
+        assert objective.certificate((F(0), F(0), F(1, 5))) == (9, True)
+
+    def test_blowup_candidate_is_not_stationary(self):
+        # the minimizer is irrational, so its rounding has a nonzero gradient
+        model = MD.cone_construction(fano([(-1, -1), (-1, 1), (0, 1), (2, -1)]))
+        objective = I._ToricObjective(model)
+        xi, _, converged = I._newton_minimize(model, objective)
+        assert converged
+        candidate = tuple(F(x).limit_denominator(64) for x in xi)
+        assert model.is_interior(candidate)
+        value, stationary = objective.certificate(candidate)
+        assert not stationary
+        level = linalg.dot(model.m_covector, candidate)
+        exact_value, gradient, _ = objective.derivatives(tuple(x / level for x in candidate))
+        assert value == exact_value and any(g != 0 for g in gradient)
 
 
 class TestNormalizedColength:

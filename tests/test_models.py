@@ -130,6 +130,24 @@ class TestConeConstruction:
             expected = G.Cone([tuple(int(x) for x in v) + (1,) for v in inp.polytope.vertices])
             assert toric.cone.dual() == expected
 
+    def test_one_double_description_per_cone(self, monkeypatch):
+        # the dual and the dual's dual are read off the first kernel run
+        calls = []
+        true_kernel = G._extreme_rays
+
+        def counted(normals, dim):
+            calls.append(dim)
+            return true_kernel(normals, dim)
+
+        blowup = fano([(-1, -1), (-1, 1), (0, 1), (2, -1)])
+        monkeypatch.setattr(G, "_extreme_rays", counted)
+        model = MD.cone_construction(blowup)
+        assert calls == [3]
+        assert model.dual_cone.rays == ((-1, -1, 1), (-1, 1, 1), (0, 1, 1), (2, -1, 1))
+        calls.clear()
+        assert MD.load_model({"type": "toric", "rays": [[0, 1], [2, -1]]}).dual_cone.rays == ((1, 0), (1, 2))
+        assert calls == [2]
+
     def test_non_gorenstein_cone_rejected(self):
         # cone over a non-coplanar quadrilateral: the ray-pairing system
         # is overdetermined and inconsistent
