@@ -383,14 +383,11 @@ def lattice_points(body, k):
     if k < 1:
         raise ValidationError("invalid-dilation", "dilation factor must be a positive integer")
     dim = body.dim
-    # integral forms: den * <a, u> (<=/==) k * num
-    ineqs = []
-    for normal, rhs in body.facets:
-        ineqs.append((tuple(rhs.denominator * a for a in normal), k * rhs.numerator))
-    eqs = []
+    # integral forms den * <a, u> <= k * num; an equation is two of them
+    rows = list(body.facets)
     for normal, rhs in body.equations:
-        r = Fraction(rhs)
-        eqs.append((tuple(r.denominator * a for a in normal), k * r.numerator))
+        rows += [(normal, rhs), (tuple(-a for a in normal), -rhs)]
+    ineqs = [(tuple(rhs.denominator * a for a in normal), k * rhs.numerator) for normal, rhs in rows]
     bounds = _dilated_bounds(body, k)
     prefix_ranges = [range(lo, hi + 1) for lo, hi in bounds[:-1]]
     _check_cells(_prefix_cells(bounds), "a dilated box")
@@ -409,22 +406,6 @@ def lattice_points(body, k):
             elif partial > b:
                 ok = False
                 break
-        if ok:
-            for a, b in eqs:
-                partial = sum(a[i] * prefix[i] for i in range(dim - 1))
-                c = a[-1]
-                if c == 0:
-                    if partial != b:
-                        ok = False
-                        break
-                else:
-                    rem = b - partial
-                    if rem % c != 0:
-                        ok = False
-                        break
-                    z = rem // c
-                    lo = max(lo, z)
-                    hi = min(hi, z)
         if ok and hi >= lo:
             count += hi - lo + 1
     return count

@@ -422,10 +422,10 @@ def _staircase_key(ideal):
 @dataclass
 class ScanStats:
     """Work counters of normalized-colength scans, summed over the calls
-    that share one instance: ideals that reached the argmin, ideals the
-    lower bound ruled out, lct evaluations, and in exact mode the inner
-    nodes of the staircase recursion whose subtree bound was computed
-    and the subtrees that bound skipped."""
+    that share one instance: ideals that reached the minimization, ideals
+    the lower bound ruled out, lct evaluations, and in exact mode the
+    inner nodes of the staircase recursion whose subtree bound was
+    computed and the subtrees that bound skipped."""
 
     ideals_seen: int = 0
     ideals_pruned: int = 0
@@ -437,39 +437,24 @@ class ScanStats:
         return asdict(self)
 
 
-def _argmin(ideals, value, lower=None, incumbent=None, stats=None):
-    """(least value, its ideal, number of ideals seen), or None when
+def _argmin(ideals, value):
+    """(least value, its ideal, number of ideals), or None when
     ``ideals`` is empty. Ties go to the lexicographically least
     staircase, so the argmin does not depend on enumeration order.
 
-    With ``lower``, an ideal is skipped without calling ``value`` when
-    ``lower(ideal)`` = (p, q) shows value(ideal) >= p / q strictly above
-    the least of ``incumbent`` (a value some member of ``ideals``
-    attains) and the running best; such an ideal can neither win nor
-    tie. ``stats`` (a ScanStats) counts the ideals seen and pruned and
-    the ``value`` calls.
+    ``value`` is called on every ideal: this is the plain minimum that
+    the Lech probe takes and that the tests hold the pruned
+    `normalized_colength` to, so it skips nothing itself.
     """
     best = None
-    bar = incumbent
-    count = pruned = 0
+    count = 0
     for ideal in ideals:
         count += 1
-        if lower is not None and bar is not None:
-            p, q = lower(ideal)
-            if p * bar.denominator > bar.numerator * q:
-                pruned += 1
-                continue
         v = value(ideal)
         if best is None or v < best[0]:
             best = (v, ideal)
-            if bar is None or v < bar:
-                bar = v
         elif v == best[0] and _staircase_key(ideal) < _staircase_key(best[1]):
             best = (v, ideal)
-    if stats is not None:
-        stats.ideals_seen += count
-        stats.ideals_pruned += pruned
-        stats.lct_evaluations += count - pruned
     return None if best is None else (best[0], best[1], count)
 
 
@@ -524,31 +509,34 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
     above (refusing above the fixed ceiling `monomials.UPPER_BUDGETS`).
     Ties are broken by the lexicographically least staircase.
 
-    Each value is exact, from the integer facet pick of `lct`. An ideal
-    a is skipped unseen when n! B^n l(a) is strictly above the incumbent,
-    where B = max(sum (1-a_i)/d_i, max_g min_{g_i>0} (1-a_i)/g_i) over
-    its pure degrees d_i and generators g is a lower bound for lct(a):
-    a contains (x_1^{d_1}, ..., x_n^{d_n}) and each (x^g), and lct grows
-    with the ideal (Howald). The incumbent is the least of the running
-    best and, in exact mode, a seed: the best value among the powers
-    m^j, j <= k, that lie in the family. m^j has lct sum (1-a_i) / j and
-    colength C(n+j-1, n), and n! (sum (1-a_i)/j)^n C(n+j-1, n) falls as
-    j grows (for n >= 2), so the seed is the value of m^k, which is in
-    the family whenever any ideal is. Upper mode has no seed; on the
-    default grid its first ideal, of weights (1, ..., 1), is m^k itself.
+    Each value is exact, from the integer facet pick of `lct`. The scan
+    keeps one incumbent, the bar: the least value computed so far and, in
+    exact mode, a seed, the best value among the powers m^j, j <= k, that
+    lie in the family. m^j has lct sum (1-a_i) / j and colength
+    C(n+j-1, n), and n! (sum (1-a_i)/j)^n C(n+j-1, n) falls as j grows
+    (for n >= 2), so the seed is the value of m^k, which is in the family
+    whenever any ideal is. Upper mode has no seed; on the default grid
+    its first ideal, of weights (1, ..., 1), is m^k itself.
 
-    Exact mode also skips whole subtrees of the staircase recursion
-    (`monomials.enumerate_staircases` with its ``prune`` hook). Every
-    ideal below a node contains the node's smallest ideal a_min and has
-    colength at least L, the greater of c k^n rounded up and the fixed
-    column heights plus the floors of the open ones; so its value is at
-    least n! lct(a_min)^n L. The subtree goes when that bound is strictly
-    above the incumbent, tried first with the integer floor B of
-    lct(a_min) and only then with the facet pick on a_min's Newton
-    facets.
+    One cut against the bar decides every skip: given a lower bound L on
+    the colength, it tells whether n! lct^n L is strictly above the bar
+    for a given lct. Whatever that holds for can neither win nor tie.
+    - An ideal a is skipped unseen when the cut at L = l(a) holds for
+      B = max(sum (1-a_i)/d_i, max_g min_{g_i>0} (1-a_i)/g_i) over its
+      pure degrees d_i and generators g. B is a lower bound for lct(a):
+      a contains (x_1^{d_1}, ..., x_n^{d_n}) and each (x^g), and lct
+      grows with the ideal (Howald).
+    - Exact mode also skips whole subtrees of the staircase recursion
+      (`monomials.enumerate_staircases` with its ``prune`` hook). Every
+      ideal below a node contains the node's smallest ideal a_min and has
+      colength at least L, the greater of c k^n rounded up and the fixed
+      column heights plus the floors of the open ones. The subtree goes
+      when the cut at that L holds for the floor B of lct(a_min), or else
+      for lct(a_min) itself from the facet pick on a_min's Newton facets.
 
     Ties are never skipped, so the value and the argmin are those of the
-    full scan. ``stats`` (a ScanStats) counts the work.
+    plain `_argmin` over the whole family. ``stats`` (a ScanStats) counts
+    the work.
     """
     if not isinstance(model, MonomialPair):
         raise ValidationError("invalid-model", "normalized colength is computed on monomial pairs")
@@ -569,51 +557,53 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
     factor = math.factorial(n)
     costs, scale = model.integer_costs
 
-    # the incumbent of `_argmin`: the least of the seed and every value
-    # computed so far
-    bar = None
+    if stats is None:
+        stats = ScanStats()
+    bar = None  # the incumbent
+
+    def above(colength):
+        # the cut: whether n! lct^n colength is strictly above the bar, for
+        # lct = p / (scale q); cross-multiplied once per ideal or node
+        cut_p, cut_q = factor * colength * bar.denominator, bar.numerator * scale**n
+        return lambda p, q: cut_p * p**n > cut_q * q**n
+
+    def unbeaten(ideal):
+        stats.ideals_seen += 1
+        if bar is not None and above(ideal.colength())(*_lct_floor(costs, ideal.gens)):
+            stats.ideals_pruned += 1
+            return False
+        return True
 
     def value(ideal):
         nonlocal bar
+        stats.lct_evaluations += 1
         num, _, level = _facet_pick(costs, ideal.newton_facets())
         v = Fraction(factor * num**n * ideal.colength(), (scale * level) ** n)
         if bar is None or v < bar:
             bar = v
         return v
 
-    def lower(ideal):
-        p, q = _lct_floor(costs, ideal.gens)
-        return factor * p**n * ideal.colength(), (scale * q) ** n
-
     def prune(a_min, least_colength):
-        # the subtree goes when n! lct(a_min)^n least_colength is strictly
-        # above the bar, lct(a_min) = p / (scale q) taken first from below
-        # by the integer floor and then exactly
-        if stats is not None:
-            stats.nodes_visited += 1
-        cut_p, cut_q = factor * least_colength * bar.denominator, bar.numerator * scale**n
-        p, q = _lct_floor(costs, a_min.gens)
-        if cut_p * p**n <= cut_q * q**n:
+        stats.nodes_visited += 1
+        cut = above(least_colength)
+        if not cut(*_lct_floor(costs, a_min.gens)):
             p, _, q = _facet_pick(costs, a_min.newton_facets())
-            if cut_p * p**n <= cut_q * q**n:
+            if not cut(p, q):
                 return False
-        if stats is not None:
-            stats.subtrees_pruned += 1
+        stats.subtrees_pruned += 1
         return True
 
     _check_level_budget(n, k, mode, budgets)
-    seed = None
     if mode == "exact":
         ideals = monomials.enumerate_staircases(
             n, k, min_colength=max(1, min_colength), budgets=budgets, prune=prune
         )
-        seed = Fraction(factor * sum(costs) ** n * full, (scale * k) ** n)
+        bar = Fraction(factor * sum(costs) ** n * full, (scale * k) ** n)
     elif mode == "upper":
         ideals = _valuation_ideals(n, k, min_colength, DEFAULT_WEIGHT_RATIOS)
     else:
         raise ValidationError("invalid-mode", f"unknown mode {mode!r}")
-    bar = seed
-    best = _argmin(ideals, value, lower=lower, incumbent=seed, stats=stats)
+    best = _argmin(filter(unbeaten, ideals), value)
     if best is None:
         raise ValidationError(
             "infeasible-c",
@@ -726,33 +716,12 @@ class LechGapReport:
     n: int
     k: int
     delta: Fraction
-    epsilon: Fraction
     min_ratio: Fraction
     witness: monomials.MonomialIdeal
     ideals_scanned: int
 
-    @property
-    def holds_exactly(self):
-        return self.min_ratio >= 1
 
-    @property
-    def holds_with_epsilon(self):
-        return self.min_ratio >= 1 - self.epsilon
-
-    def to_payload(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "delta": format_rational(self.delta),
-            "epsilon": format_rational(self.epsilon),
-            "min_ratio": format_rational(self.min_ratio),
-            "witness_gens": [list(g) for g in self.witness.gens],
-            "ideals_scanned": self.ideals_scanned,
-            "holds_exactly": self.holds_exactly,
-        }
-
-
-def lech_gap_probe(n, k, delta, epsilon):
+def lech_gap_probe(n, k, delta):
     """Minimum of n! colength / multiplicity over ideals squeezed between
     the k-th and ceil(delta k)-th powers of the maximal ideal.
 
@@ -761,9 +730,8 @@ def lech_gap_probe(n, k, delta, epsilon):
     invariant violation rather than a report entry.
     """
     delta = parse_rational(delta)
-    epsilon = parse_rational(epsilon)
-    if not 0 < delta < 1 or not 0 < epsilon < 1:
-        raise ValidationError("invalid-range", "delta and epsilon must lie in (0, 1)")
+    if not 0 < delta < 1:
+        raise ValidationError("invalid-range", "delta must lie in (0, 1)")
     j = math.ceil(delta * k)
     factor = math.factorial(n)
     best = _argmin(
@@ -779,10 +747,7 @@ def lech_gap_probe(n, k, delta, epsilon):
             f"colength-multiplicity ratio {ratio} below one on a regular point",
             witness=[list(g) for g in witness.gens],
         )
-    return LechGapReport(
-        n=n, k=k, delta=delta, epsilon=epsilon,
-        min_ratio=ratio, witness=witness, ideals_scanned=count,
-    )
+    return LechGapReport(n=n, k=k, delta=delta, min_ratio=ratio, witness=witness, ideals_scanned=count)
 
 
 @dataclass(frozen=True)
@@ -903,15 +868,6 @@ class WitnessReport:
     volume: Fraction
     value: Fraction
     closed_form: Fraction
-
-    def to_payload(self):
-        return {
-            "weights": [format_rational(w) for w in self.weights],
-            "log_discrepancy": format_rational(self.log_discrepancy),
-            "volume": format_rational(self.volume),
-            "value": format_rational(self.value),
-            "closed_form": format_rational(self.closed_form),
-        }
 
 
 def maxhvol_witness_check(model):

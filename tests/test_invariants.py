@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
@@ -373,6 +374,23 @@ class TestNormalizedColength:
         value, _ = I.normalized_colength(AN2, F(1, 8), 20, mode="upper")
         assert value >= 4
 
+    @pytest.mark.parametrize(
+        "coeffs, c, ks, mode, counts",
+        [
+            ((0, 0), F(1, 8), range(2, 9), "exact", (16, 9, 7, 1497, 1149)),
+            ((F(1, 4), 0), F(1, 8), [60], "upper", (17, 14, 3, 0, 0)),
+            ((0, F(5, 8)), F(1, 8), [60], "upper", (17, 10, 7, 0, 0)),
+            ((0, 0, 0), F(1, 24), [3], "exact", (2, 1, 1, 45, 27)),
+            ((0, 0, 0), F(1, 24), [4], "exact", (2, 1, 1, 254, 166)),
+        ],
+    )
+    def test_scan_stats_pinned(self, coeffs, c, ks, mode, counts):
+        # (seen, pruned, lct, nodes, subtrees): a skip lost or added changes
+        # these counts while every value stays the same
+        stats = I.ScanStats()
+        I.colength_convergence_scan(MD.MonomialPair(len(coeffs), coeffs), c, ks, mode=mode, stats=stats)
+        assert astuple(stats) == counts
+
     def test_monotone_in_c(self):
         k = 5
         values = [I.normalized_colength(AN2, c, k)[0] for c in (F(1, 16), F(1, 8), F(1, 4), F(2, 5))]
@@ -446,18 +464,18 @@ class TestLechProbe:
         assert F(2 * ideal.colength()) / ideal.multiplicity() == F(k + 1, k)
 
     def test_probe_exact(self):
-        report = I.lech_gap_probe(2, 6, F(1, 2), F(1, 10))
-        assert report.holds_exactly and report.holds_with_epsilon
+        report = I.lech_gap_probe(2, 6, F(1, 2))
+        assert report.min_ratio >= 1
         assert report.min_ratio == F(7, 6)
         assert report.witness == M.maximal_power(2, 6)
 
     def test_probe_3d(self):
-        report = I.lech_gap_probe(3, 3, F(1, 2), F(1, 10))
-        assert report.holds_exactly
+        report = I.lech_gap_probe(3, 3, F(1, 2))
+        assert report.min_ratio >= 1
 
     def test_bad_parameters(self):
         with pytest.raises(ValidationError):
-            I.lech_gap_probe(2, 4, F(3, 2), F(1, 10))
+            I.lech_gap_probe(2, 4, F(3, 2))
 
 
 class TestKssViaCone:
