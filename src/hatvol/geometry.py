@@ -7,28 +7,28 @@ which finds the extreme rays of a dual cone by double description over
 integer normals: a simplicial start from independent rows, found by the
 fraction-free reduction of `linalg` on a dim x dim transform block, one
 cut per further row, adjacency read off zero sets held as bitmasks. For
-hulls and polyhedra the cone is the homogenization one dimension higher. The kernel returns each ray
-with its zero set; for a hull that is the set of points on a facet, and
-a `Polyhedron` keeps it beside each facet as ``incidence``. The rest is
-read off these incidences, with no dot product and no rank test:
-`_vertices` keeps a point (or a ray) whose set of facets lies in no
-other point's set, and one fan, `_fan`, from the least vertex (no
-centroid) triangulates every hull, volumes and barycenters included,
-taking the facets of a face as its maximal intersections with the other
-facets (`_ridges`). A `Polyhedron` owns its covolume: it fans each facet
-<a, x> >= c with c > 0 the same way and sums the cones from the origin
-over the simplices, whatever its recession rays; over the orthant that
-is the multiplicity of a monomial ideal. A point set of lower affine
-dimension is flattened by a coordinate chart: the pivot columns of the
-integer row echelon form of its differences, onto which it projects
-one-to-one. Degenerate hulls, the point sets a triangulation starts from and
-lower-dimensional cones work on the projected points and read their
-answers back by index, with no linear solve. A cone's dual is read off
-its own double description, with no second one. Integer input stays in
-integers: cones, polyhedra, the kernel, fans and covolumes, and
-membership tests of int points. Rational vertices, volumes,
-barycenters and the counting and Riemann-sum probes run over
-`fractions.Fraction`; no floating point enters this module.
+hulls and polyhedra the cone is the homogenization one dimension higher,
+and `Polyhedron.facets` alone reads facets off it, with the points on
+each as ``incidence``; `convex_hull` clears its points to one common
+denominator and hulls the integer points as a `Polyhedron` with no rays.
+The rest is read off these incidences, with no dot product and no rank
+test: `_vertices` keeps a point (or a ray) whose set of facets lies in
+no other point's set, and one fan, `_fan`, from the least vertex
+triangulates every body, taking the facets of a face as its maximal
+intersections with the other facets (`_ridges`). Volumes, barycenters
+and the toric slice all triangulate through `ConvexBody.triangulation`.
+A `Polyhedron` owns its covolume: it fans each facet <a, x> >= c with
+c > 0 the same way and sums the cones from the origin over the
+simplices; over the orthant that is the multiplicity of a monomial
+ideal. A point set of lower affine dimension is flattened by a
+coordinate chart, the pivot columns of the row echelon form of its
+differences, onto which it projects one-to-one and in sorted order, so
+degenerate hulls and lower-dimensional cones keep their indices. A
+cone's dual is read off its own double description. Integer input stays
+in integers: hulls up to their final right-hand sides, cones, polyhedra,
+the kernel, fans and covolumes, and membership tests of int points.
+Rational vertices, volumes, barycenters and the counting and Riemann-sum
+probes run over `fractions.Fraction`; no floating point enters here.
 """
 
 import itertools
@@ -128,6 +128,15 @@ class ConvexBody:
         values = [v[axis] for v in self.vertices]
         return min(values), max(values)
 
+    def triangulation(self):
+        """The simplices of the body as index tuples into ``vertices``:
+        ``[(0,)]`` for a point, otherwise the fan `_fan` over the vertex
+        sets of the body's own facets in its affine dimension. Only
+        vertices are used, and no face is hulled again."""
+        if self._affine_dim == 0:
+            return [(0,)]
+        return _fan(self.vertices, self._incidence, self._affine_dim)
+
     def volume(self):
         return volume(self)
 
@@ -150,11 +159,14 @@ class ConvexBody:
 def convex_hull(points):
     """Convex hull of exact rational points as a :class:`ConvexBody`.
 
-    The vertex set is minimal. The facets of a full-dimensional hull come
-    from :func:`_hull_facets`. Lower-dimensional inputs are supported:
-    the body is flagged not full-dimensional, its facets are those of the
-    hull in chart coordinates, zero-padded to the ambient dimension, and
-    explicit equations cut out the affine hull.
+    The points are cleared to one common denominator and hulled as
+    integer points by :func:`_int_hull`, whose facets come from
+    `Polyhedron.facets`; each right-hand side becomes a `Fraction` once,
+    at the end. The vertex set is minimal and sorted, and
+    `ConvexBody.triangulation` indexes into it. Lower-dimensional inputs
+    are supported: the body is flagged not full-dimensional, its facets
+    are those of the hull in chart coordinates, zero-padded to the
+    ambient dimension, and explicit equations cut out the affine hull.
     """
     if not points:
         raise ValidationError("empty-input", "convex hull of an empty point set")
@@ -166,37 +178,50 @@ def convex_hull(points):
         raise ValidationError("unsupported-dimension", f"dimension {dim} exceeds supported maximum {MAX_DIM}")
     if dim < 1:
         raise ValidationError("unsupported-dimension", "dimension must be at least 1")
+    # a positive common scale keeps the points sorted and distinct
+    den = math.lcm(*(x.denominator for p in pts for x in p))
+    ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+    keep, facets, equations, affine_dim, incidence = _int_hull(ints)
+    facets = tuple((a, Fraction(b, den)) for a, b in facets)
+    equations = tuple((a, Fraction(b, den)) for a, b in equations)
+    return ConvexBody(dim, tuple(pts[i] for i in keep), facets, equations, affine_dim, incidence)
 
-    base = pts[0]
-    diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
+
+def _int_hull(points):
+    """The hull of sorted, distinct integer points, all in ints: (vertex
+    indices, facets (a, b) for <a, x> <= b, equations (a, b) for
+    <a, x> = b, affine dimension, vertex bitmask of each facet).
+
+    A full-dimensional hull reads its facets <a, x> >= c and their point
+    sets off `Polyhedron` with no rays, as <-a, x> <= -c sorted by
+    (normal, rhs). A lower-dimensional one is hulled again in chart
+    coordinates. The first coordinate in which two of the points differ
+    is a pivot column of the chart, so the projection keeps them sorted
+    and distinct, and indices, facets and incidences carry over.
+    """
+    dim = len(points[0])
+    base = points[0]
+    diffs = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]]
     chart = _chart(diffs)
     affine_dim = len(chart)
-
     if affine_dim == dim:
-        facets = _hull_facets(pts)
+        hull = Polyhedron(points, ())
+        facets = sorted((tuple(-x for x in a), -c, m) for (a, c), m in zip(hull.facets, hull.incidence))
         masks = [m for _, _, m in facets]
-        keep = _vertices(masks, len(pts))
+        keep = _vertices(masks, len(points))
         incidence = tuple(sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in masks)
-        vertices = tuple(pts[i] for i in keep)
-        return ConvexBody(dim, vertices, tuple((a, b) for a, b, _ in facets), (), dim, incidence)
-
-    # degenerate: hull of the points in chart coordinates, read back
+        return keep, [(a, b) for a, b, _ in facets], [], dim, incidence
     normals = [linalg.primitive(linalg.clear_denominators(n)) for n in linalg.nullspace(diffs, dim)]
-    equations = tuple(sorted((a, linalg.dot(a, base)) for a in normals))
+    equations = sorted((a, linalg.dot(a, base)) for a in normals)
     if affine_dim == 0:
-        return ConvexBody(dim, (base,), (), equations, 0, ())
-    projected = [_project(p, chart) for p in pts]
-    sub = convex_hull(projected)
-    corners = set(sub.vertices)
-    vertices = tuple(p for p, q in zip(pts, projected) if q in corners)
+        return [0], [], equations, 0, ()
+    keep, sub_facets, _, _, incidence = _int_hull([_project(p, chart) for p in points])
     facets = []
-    for normal, rhs in sub.facets:
+    for normal, rhs in sub_facets:
         # zero-padded, a primitive chart normal stays primitive
         lift = dict(zip(chart, normal))
         facets.append((tuple(lift.get(i, 0) for i in range(dim)), rhs))
-    # the chart and the zero padding keep the order of the vertices and of
-    # the facets, so the incidences of the chart body carry over
-    return ConvexBody(dim, vertices, tuple(facets), equations, affine_dim, sub._incidence)
+    return keep, facets, equations, affine_dim, incidence
 
 
 def _chart(diffs):
@@ -209,25 +234,6 @@ def _chart(diffs):
 
 def _project(point, chart):
     return tuple(point[c] for c in chart)
-
-
-def _hull_facets(points):
-    """Facets <a, x> <= b of conv(points), which must be distinct and
-    full-dimensional, as sorted triples (a, b, mask) with primitive
-    integer normals a; bit i of mask is set when points[i] lies on the
-    facet.
-
-    A point p homogenizes to (p, 1); each extreme ray (w, w0) of the
-    dual of their cone gives <-w, x> <= w0, and its zero set over the
-    rows is the set of points on that facet.
-    """
-    gens = [linalg.clear_denominators(tuple(p) + (Fraction(1),)) for p in points]
-    facets = []
-    for w, zeros in _extreme_rays(gens, len(gens[0])):
-        g = math.gcd(*w[:-1])
-        if g:  # g == 0 is the trivial inequality 0 <= 1
-            facets.append((tuple(-x // g for x in w[:-1]), Fraction(w[-1], g), zeros))
-    return sorted(facets)
 
 
 def _vertices(facets, count):
@@ -254,32 +260,6 @@ def _vertices(facets, count):
 
 # ---------------------------------------------------------------------------
 # triangulation and volume
-
-
-def _triangulate_indices(points, d):
-    """Triangulate the hull of distinct ``points`` (affine dimension d)
-    into index tuples.
-
-    Every simplex uses only input vertices. A segment is its two extreme
-    points; from d = 2 on, the points are charted and hulled once, and
-    `_fan` triangulates the hull over the vertex sets of its facets.
-    """
-    if d == 0:
-        return [(0,)]
-    if d == 1:
-        direction = None
-        for p in points[1:]:
-            diff = tuple(x - y for x, y in zip(p, points[0]))
-            if any(x != 0 for x in diff):
-                direction = diff
-                break
-        keyed = sorted(range(len(points)), key=lambda i: linalg.dot(direction, points[i]))
-        return [(keyed[0], keyed[-1])]
-    chart = _chart([tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]])
-    coords = [_project(p, chart) for p in points]
-    masks = [m for _, _, m in _hull_facets(coords)]
-    corners = sum(1 << i for i in _vertices(masks, len(coords)))
-    return _fan(coords, [m & corners for m in masks], d)
 
 
 def _fan(points, facets, d):
@@ -330,7 +310,7 @@ def _simplices(body):
     sets of its own facets, as its corners, with |det| of its edges (dim!
     times its volume)."""
     vertices = body.vertices
-    for idx in _fan(vertices, body._incidence, body.dim):
+    for idx in body.triangulation():
         simplex = [vertices[i] for i in idx]
         apex = simplex[0]
         yield simplex, abs(linalg.det([[x - y for x, y in zip(p, apex)] for p in simplex[1:]]))
@@ -694,7 +674,9 @@ class Polyhedron:
     dimension higher, over the rows (p, 1) for points p and (r, 0) for
     rays r; the V-form and the derived H-form therefore describe the
     same set exactly, in integers. The zero set of each facet over the
-    point rows is kept beside it as ``incidence``.
+    point rows is kept beside it as ``incidence``. With no rays this is
+    the facet reader of `convex_hull` too: the hull of full-dimensional
+    integer points is such a polyhedron.
     """
 
     __slots__ = ("dim", "points", "rays", "_facets", "_incidence")

@@ -187,10 +187,14 @@ class _ToricObjective:
         levels = [linalg.dot(xi0, d) for d in self.duals]
         top = math.lcm(*levels)
         points = [tuple(x * (top // level) for x in d) for d, level in zip(self.duals, levels)]
-        self.simplices = [
-            (tri, int(abs(linalg.det([self.duals[i] for i in tri]))))
-            for tri in geometry._triangulate_indices(points, self.n - 1)
-        ]
+        # every slice point is a vertex, so body vertex j is points[order[j]]
+        order = sorted(range(len(points)), key=points.__getitem__)
+        self.simplices = []
+        for tri in geometry.convex_hull(points).triangulation():
+            # `derivatives` sums floats in simplex order, and `_fan` ends each
+            # simplex with an edge in sorted-point order: put it in dual order
+            tri = tuple(order[j] for j in tri[:-2]) + tuple(sorted(order[j] for j in tri[-2:]))
+            self.simplices.append((tri, int(abs(linalg.det([self.duals[i] for i in tri])))))
         self.scale = math.lcm(*(x.denominator for x in self.m))
         self.covector = linalg.clear_denominators(self.m)
 

@@ -678,6 +678,8 @@ PINNED_INPUTS = {
     "orthant4.json": {"type": "toric", "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
     "blowup.json": {"type": "fano_cone", "polytope": [[-1, -1], [2, -1], [0, 1], [-1, 1]], "r": 1},
     "dp7.json": {"type": "fano_cone", "polytope": [[-1, -1], [1, -1], [1, 0], [0, 1], [-1, 1]], "r": 1},
+    "blowup_image.json": {"type": "fano_cone", "polytope": [[1, 1], [-2, 1], [0, -1], [1, -1]], "r": 1},
+    "line.json": {"type": "toric", "rays": [[2]]},
 }
 
 # literal `result` payloads; a refactor that changes one must say why
@@ -756,6 +758,21 @@ PINNED_RESULTS = [
         "hvol --model dp7.json",
         '{"exact": false, "method": "numeric_slice", "minimizer": ["-13316083/120622699", "-103127239/934170049", "1"], '
         '"tolerance": 1e-09, "value": 6.788343839551018}',
+    ),
+    # a unimodular image of the blow-up: its triangles end in an edge whose
+    # sorted-point order is not its dual-ray order, so the sums catch an
+    # edge taken in the wrong order
+    (
+        "hvol --model blowup_image.json",
+        '{"exact": false, "method": "numeric_slice", "minimizer": ["0", "129583157/985551345", "1"], '
+        '"tolerance": 1e-09, "value": 7.739347215085987}',
+    ),
+    # n = 1: the slice is one point, which is one simplex
+    (
+        "hvol --model line.json",
+        '{"certificate": "zero exact gradient at rational interior weights of height <= 64", '
+        '"exact": true, "method": "numeric_slice", "minimizer": ["1"], '
+        '"tolerance": 1e-09, "value": "1"}',
     ),
     # exact n = 3 scan at its budget: the argmin is m^5 itself
     (

@@ -238,9 +238,9 @@ def _full_triangulation(body):
     center = tuple(sum(c) / len(body.vertices) for c in zip(*body.vertices))
     simplices = []
     for normal, rhs in body.facets:
-        face = [v for v in body.vertices if linalg.dot(normal, v) == rhs]
-        for idx in G._triangulate_indices(face, body.dim - 1):
-            simplices.append((center,) + tuple(face[i] for i in idx))
+        face = G.convex_hull([v for v in body.vertices if linalg.dot(normal, v) == rhs])
+        for idx in face.triangulation():
+            simplices.append((center,) + tuple(face.vertices[i] for i in idx))
     return simplices
 
 
@@ -303,6 +303,11 @@ def _rank_vertices(points, facets, rank):
     return out
 
 
+def _corners(body, simplices):
+    """Each simplex of index tuples into ``body.vertices`` as its points."""
+    return [tuple(body.vertices[i] for i in s) for s in simplices]
+
+
 def _rehull_triangulation(points, d):
     """Reference triangulation of the hull of ``points`` (affine dimension
     d): the fan from the least vertex over the facets not through it,
@@ -316,7 +321,7 @@ def _rehull_triangulation(points, d):
         return [(keyed[0], keyed[-1])]
     chart = G._chart([tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]])
     coords = [G._project(p, chart) for p in points]
-    facets = [(a, b) for a, b, _ in G._hull_facets(coords)]
+    facets = G.convex_hull(coords).facets
     vertex_idx = _rank_vertices(coords, facets, d)
     apex = min(vertex_idx, key=lambda i: coords[i])
     simplices = []
@@ -351,10 +356,10 @@ def vertex_test_cases(draw):
 @given(vertex_test_cases())
 def test_incidence_vertices_match_the_rank_test_on_hulls(case):
     points, d = case
-    facets = G._hull_facets(points)
-    expected = _rank_vertices(points, [(a, b) for a, b, _ in facets], d)
-    assert G._vertices([m for _, _, m in facets], len(points)) == expected
     body = G.convex_hull(points)
+    expected = _rank_vertices(points, body.facets, d)
+    masks = [sum(1 << i for i, p in enumerate(points) if linalg.dot(a, p) == b) for a, b in body.facets]
+    assert G._vertices(masks, len(points)) == expected
     assert body.vertices == tuple(points[i] for i in expected)
     # each facet's bitmask holds exactly the vertices on it
     for (normal, rhs), mask in zip(body.facets, body._incidence):
@@ -406,7 +411,10 @@ def plane_point_sets(draw):
 def test_triangulation_in_dimension_up_to_two_matches_the_rehull(case):
     # the same simplices in the same order: _ToricObjective sums floats in it
     points, d = case
-    assert G._triangulate_indices(points, d) == _rehull_triangulation(points, d)
+    body = G.convex_hull(points)
+    # the body numbers its vertices in sorted order, so the reference does too
+    points = sorted(points)
+    assert _corners(body, body.triangulation()) == [tuple(points[i] for i in s) for s in _rehull_triangulation(points, d)]
 
 
 CUBE_4 = list(itertools.product((0, 1), repeat=4))
@@ -433,8 +441,11 @@ def solid_point_sets(draw):
 def test_triangulation_in_dimension_three_and_four_matches_the_rehull(case):
     # the same simplices; ridges come in another order on non-simplicial faces
     points, d = case
-    simplices = G._triangulate_indices(points, d)
-    assert sorted(simplices) == sorted(_rehull_triangulation(points, d))
+    body = G.convex_hull(points)
+    simplices = body.triangulation()
+    points = sorted(points)
+    reference = [tuple(points[i] for i in s) for s in _rehull_triangulation(points, d)]
+    assert sorted(_corners(body, simplices)) == sorted(reference)
     assert len(set(simplices)) == len(simplices)
 
 
@@ -838,7 +849,7 @@ class TestIntegerPoints:
             top = math.lcm(*levels)
             fractions = [tuple(F(x, level) for x in d) for d, level in zip(duals, levels)]
             integers = [tuple(x * (top // level) for x in d) for d, level in zip(duals, levels)]
-            assert G._triangulate_indices(integers, cone.dim - 1) == G._triangulate_indices(fractions, cone.dim - 1)
+            assert G.convex_hull(integers).triangulation() == G.convex_hull(fractions).triangulation()
             compared += top > 1
         assert compared >= 100
 

@@ -76,9 +76,9 @@ def rehull_multiplicity(ideal):
     own, with |det| summed over the simplices."""
     total = 0
     for normal, c in ideal.newton_facets():
-        face = [g for g in ideal.gens if linalg.dot(normal, g) == c]
-        for simplex in G._triangulate_indices(face, ideal.n - 1):
-            total += abs(linalg.det([face[i] for i in simplex]))
+        face = G.convex_hull([g for g in ideal.gens if linalg.dot(normal, g) == c])
+        for simplex in face.triangulation():
+            total += abs(linalg.det([face.vertices[i] for i in simplex]))
     return total
 
 
