@@ -304,7 +304,7 @@ def criterion_kss_cone(fast=False):
         return False, f"line cone gave {verdict.hvol_result.value}", "== 2 exact", ""
     p2 = FanoConeInput(geometry.convex_hull([(0, 0), (3, 0), (0, 3)]), 1)
     verdict = invariants.kss_via_cone(p2, tolerance=tol)
-    off = abs(verdict.hvol_result.float_value() - 9.0)
+    off = abs(float(verdict.hvol_result.value) - 9.0)
     if not (verdict.verdict == "K-SEMISTABLE" and verdict.oracle is True and off <= tol * 9):
         return False, f"plane cone off by {off:.2e}", f"within {tol} of 9", ""
     p112 = FanoConeInput(geometry.convex_hull([(-1, -1), (-1, 1), (3, -1)]), 1)

@@ -4,12 +4,12 @@ Commands: hvol, lct, mult, colength, hatl, scan, lattice, cone, qbound,
 verify. Results are JSON (rationals as "p/q" strings, floats only on
 explicitly inexact values); scan and lattice tables can also be emitted
 as CSV. Each command takes only the options it reads: --out everywhere,
---format on scan and lattice, --config on hvol, hatl and scan, the only
-commands that read settings, and --tol on hvol. Configuration precedence
-is flags > environment (HATVOL_*) > config file (flat key = value) >
-defaults. Exit codes: 0 success, 2 validation error, 3 budget or
-non-convergence, 4 internal invariant violation. Errors are
-machine-readable JSON on standard error.
+--format on scan and lattice, and --config on hatl and scan, the only
+commands that read settings. The settings are the enumeration budgets
+budget_n2 and budget_n3; their precedence is environment (HATVOL_*) >
+config file (flat key = value) > defaults. Exit codes: 0 success, 2
+validation error, 3 budget or non-convergence, 4 internal invariant
+violation. Errors are machine-readable JSON on standard error.
 """
 
 import argparse
@@ -17,12 +17,10 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import geometry, invariants, monomials
@@ -31,17 +29,9 @@ from .models import FanoConeInput, MonomialPair, cone_construction, fano_degree_
 from .rationals import format_rational, parse_rational
 
 
-@dataclass
-class Settings:
-    tol: float = 1e-9
-    budget_n2: int = monomials.ENUM_BUDGETS[2]
-    budget_n3: int = monomials.ENUM_BUDGETS[3]
-
-    def budgets(self):
-        return {2: self.budget_n2, 3: self.budget_n3}
-
-
-_SETTING_TYPES = {f.name: f.type for f in fields(Settings)}
+# the settings: each enumeration budget under its config key (read from
+# the environment as HATVOL_<KEY>), with the dimension it bounds
+BUDGET_KEYS = {"budget_n2": 2, "budget_n3": 3}
 
 # most dilations one `lattice --k-range` may ask for
 MAX_DILATIONS = 1000
@@ -58,14 +48,16 @@ def _read_text(path, kind):
         raise ValidationError("unreadable-file", f"cannot read {kind} file {path}: {exc}") from exc
 
 
-def _coerce_setting(name, raw):
-    kind = _SETTING_TYPES.get(name)
-    if kind is None:
+def _parse_budget(name, raw):
+    if name not in BUDGET_KEYS:
         raise ValidationError("invalid-config", f"unknown configuration key {name!r}")
     try:
-        return int(raw) if kind is int else float(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ValidationError("invalid-config", f"cannot parse {name}={raw!r}") from exc
+    if value < 1:
+        raise ValidationError("invalid-config", f"{name} must be at least 1")
+    return value
 
 
 def _read_config_file(path):
@@ -78,31 +70,24 @@ def _read_config_file(path):
             raise ValidationError("invalid-config", f"{path}:{lineno}: expected key = value")
         key, _, raw = line.partition("=")
         key = key.strip().lower()
-        values[key] = _coerce_setting(key, raw.strip().strip('"'))
+        values[key] = _parse_budget(key, raw.strip().strip('"'))
     return values
 
 
-def resolve_settings(args):
-    """Apply precedence: CLI flags > HATVOL_* environment > config file > defaults."""
-    settings = Settings()
-    config_path = getattr(args, "config", None)
+def resolve_budgets(args):
+    """The enumeration budget of each dimension, as `{n: budget}`:
+    HATVOL_* environment > config file > defaults."""
+    values = {}
+    config_path = args.config
     if config_path is None and os.path.exists("hatvol.toml"):
         config_path = "hatvol.toml"
     if config_path is not None:
-        for key, value in _read_config_file(config_path).items():
-            setattr(settings, key, value)
-    for name in _SETTING_TYPES:
+        values.update(_read_config_file(config_path))
+    for name in BUDGET_KEYS:
         env = os.environ.get(f"HATVOL_{name.upper()}")
         if env is not None:
-            setattr(settings, name, _coerce_setting(name, env))
-    if getattr(args, "tol", None) is not None:
-        settings.tol = args.tol
-    if not (math.isfinite(settings.tol) and settings.tol > 0):
-        raise ValidationError("invalid-config", "tolerance must be finite and positive")
-    for name in ("budget_n2", "budget_n3"):
-        if getattr(settings, name) < 1:
-            raise ValidationError("invalid-config", f"{name} must be at least 1")
-    return settings
+            values[name] = _parse_budget(name, env)
+    return {n: values.get(name, monomials.ENUM_BUDGETS[n]) for name, n in BUDGET_KEYS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +141,13 @@ def _parse_k_range(text):
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (result_payload, warnings, csv_rows, stats),
-# with stats None or a payload of work counters. Only hvol, hatl and scan
-# read settings, so only they resolve them.
+# with stats None or a payload of work counters. Only hatl and scan read
+# settings, so only they resolve them.
 
 
 def _cmd_hvol(args):
-    settings = resolve_settings(args)
     model = _load_model(args.model)
-    result = invariants.hvol(model, tolerance=settings.tol)
+    result = invariants.hvol(model)
     return result.to_payload(), list(result.warnings), None, None
 
 
@@ -185,11 +169,11 @@ def _cmd_colength(args):
 
 
 def _cmd_hatl(args):
-    settings = resolve_settings(args)
+    budgets = resolve_budgets(args)
     model = _load_model(args.model)
     stats = invariants.ScanStats()
     value, argmin = invariants.normalized_colength(
-        model, parse_rational(args.c), args.k, mode=args.mode, budgets=settings.budgets(), stats=stats
+        model, parse_rational(args.c), args.k, mode=args.mode, budgets=budgets, stats=stats
     )
     payload = {
         "value": format_rational(value),
@@ -202,14 +186,14 @@ def _cmd_hatl(args):
 
 
 def _cmd_scan(args):
-    settings = resolve_settings(args)
+    budgets = resolve_budgets(args)
     model = _load_model(args.model)
     if not isinstance(model, MonomialPair):
         raise ValidationError("invalid-model", "scan expects a monomial_pair model")
     c = parse_rational(args.c) if args.c is not None else invariants.default_scan_constant(model.n)
     stats = invariants.ScanStats()
     scan = invariants.colength_convergence_scan(
-        model, c, range(args.k_min, args.k_max + 1), mode=args.mode, budgets=settings.budgets(), stats=stats
+        model, c, range(args.k_min, args.k_max + 1), mode=args.mode, budgets=budgets, stats=stats
     )
     return scan.to_payload(), list(scan.warnings), scan.csv_rows(), stats.to_payload()
 
@@ -309,8 +293,7 @@ def build_parser():
             p.add_argument("--config", help="key = value configuration file")
 
     p = sub.add_parser("hvol", help="normalized volume of a model")
-    common(p, model=True, config=True)
-    p.add_argument("--tol", type=float, help="numeric tolerance override")
+    common(p, model=True)
     p = sub.add_parser("lct", help="log canonical threshold of an ideal on a model")
     common(p, model=True, ideal=True)
     p = sub.add_parser("mult", help="Hilbert-Samuel multiplicity of an ideal")

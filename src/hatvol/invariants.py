@@ -113,15 +113,12 @@ def normalized_multiplicity(model, ideal):
 class NormalizedVolumeResult:
     value: object  # Fraction when exact, float otherwise
     exact: bool
-    method: str  # closed_form | exhaustive | numeric_slice
+    method: str  # closed_form | numeric_slice
     minimizer: WeightValuation
     tolerance: float | None = None
     certificate: str | None = None
     numeric_value: float | None = None
     warnings: tuple = ()
-
-    def float_value(self):
-        return float(self.value)
 
     def to_payload(self):
         payload = {
@@ -265,9 +262,12 @@ class _ToricObjective:
 # Newton decrement estimates f - f*; once it falls under NEWTON_DECREMENT
 # times f, well above that resolution, one last full step is taken
 # without the Armijo test: it squares the minimizer's error, a gain the
-# value can no longer show.
+# value can no longer show. TOLERANCE is the relative agreement the exact
+# upgrade asks of the Newton value, and the tolerance every toric result
+# reports.
 NEWTON_MAX_STEPS = 50
 NEWTON_DECREMENT = 1e-12
+TOLERANCE = 1e-9
 ARMIJO_SHARE = 0.25
 SHORTEST_STEP = 1e-12
 
@@ -309,7 +309,7 @@ def _newton_minimize(model, objective):
     return xi, value, False
 
 
-def hvol_toric(model, tolerance=1e-9):
+def hvol_toric(model):
     """Normalized volume of a toric singularity over interior weight vectors.
 
     The objective is scale invariant and strictly convex on the slice
@@ -318,15 +318,14 @@ def hvol_toric(model, tolerance=1e-9):
     When the minimizer rounds to a nearby rational point of height at
     most 64 at which the exact gradient vanishes, the result is upgraded
     to an exact value computed through the independent hull-based
-    volume. Otherwise the float value is reported with its tolerance,
+    volume, provided the Newton value agrees with it to within
+    TOLERANCE. Otherwise the float value is reported with TOLERANCE,
     or NonConvergedError is raised when the iteration did not settle.
     Cones of dimension above `geometry.MAX_DIM` are refused before the
     iteration starts.
     """
     if not isinstance(model, ToricSingularity):
         raise ValidationError("invalid-model", "expected a toric singularity")
-    if tolerance <= 0:
-        raise ValidationError("invalid-tolerance", "tolerance must be positive")
     # the exact upgrade reads the hull volume of the dual body, so a cone
     # the hulls cannot take is refused up front, whether or not it fires
     if model.n > geometry.MAX_DIM:
@@ -339,7 +338,6 @@ def hvol_toric(model, tolerance=1e-9):
     # rational upgrade near a low-height rational point
     candidate = tuple(Fraction(x).limit_denominator(64) for x in xi_unit)
     point = linalg.clear_denominators(candidate)
-    upgraded = None
     if model.is_interior(point):
         value, stationary = objective.certificate(point)
         if stationary:
@@ -351,21 +349,19 @@ def hvol_toric(model, tolerance=1e-9):
                     "volume-path-disagreement",
                     "triangulation and hull volumes differ at the upgraded minimizer",
                 )
-            if abs(float(exact_value) - numeric_value) <= tolerance * max(1.0, abs(numeric_value)):
-                upgraded = (exact_value, candidate)
-
-    if upgraded is not None:
-        value, xi = upgraded
-        return NormalizedVolumeResult(
-            value=value,
-            exact=True,
-            method="numeric_slice",
-            minimizer=WeightValuation(xi),
-            tolerance=tolerance,
-            certificate="zero exact gradient at rational interior weights of height <= 64",
-            numeric_value=numeric_value,
-            warnings=(EQUIVARIANT_WARNING,),
-        )
+            # the certificate is exact; this gate checks it against the
+            # separate float Newton path
+            if abs(float(exact_value) - numeric_value) <= TOLERANCE * max(1.0, abs(numeric_value)):
+                return NormalizedVolumeResult(
+                    value=exact_value,
+                    exact=True,
+                    method="numeric_slice",
+                    minimizer=WeightValuation(candidate),
+                    tolerance=TOLERANCE,
+                    certificate="zero exact gradient at rational interior weights of height <= 64",
+                    numeric_value=numeric_value,
+                    warnings=(EQUIVARIANT_WARNING,),
+                )
 
     if not converged:
         raise NonConvergedError(
@@ -380,20 +376,20 @@ def hvol_toric(model, tolerance=1e-9):
         exact=False,
         method="numeric_slice",
         minimizer=WeightValuation(reported),
-        tolerance=tolerance,
+        tolerance=TOLERANCE,
         numeric_value=numeric_value,
         warnings=(EQUIVARIANT_WARNING,),
     )
 
 
-def hvol(model, tolerance=1e-9):
+def hvol(model):
     """Normalized volume of any supported model."""
     if isinstance(model, MonomialPair):
         return hvol_closed_form(model)
     if isinstance(model, ToricSingularity):
-        return hvol_toric(model, tolerance)
+        return hvol_toric(model)
     if isinstance(model, FanoConeInput):
-        return hvol_toric(cone_construction(model), tolerance)
+        return hvol_toric(cone_construction(model))
     raise ValidationError("invalid-model", f"unsupported model {type(model).__name__}")
 
 
@@ -642,7 +638,6 @@ class ColengthScanResult:
     rows: tuple  # (k, value, argmin ideal)
     liminf_estimate: Fraction
     reference_hvol: Fraction
-    approaches_from_above: bool
     warnings: tuple = (EQUIVARIANT_WARNING,)
 
     def to_payload(self):
@@ -659,7 +654,6 @@ class ColengthScanResult:
             ],
             "liminf_estimate": format_rational(self.liminf_estimate),
             "reference_hvol": format_rational(self.reference_hvol),
-            "approaches_from_above": self.approaches_from_above,
         }
 
     def csv_rows(self):
@@ -707,7 +701,6 @@ def colength_convergence_scan(model, c, k_range, mode="exact", budgets=None, sta
         rows=tuple(rows),
         liminf_estimate=liminf_estimate,
         reference_hvol=reference,
-        approaches_from_above=all(value >= reference for _, value, _ in rows),
     )
 
 
@@ -760,7 +753,7 @@ class KssVerdict:
     hvol_result: NormalizedVolumeResult
     bound: Fraction
     margin: object  # bound - hvol, Fraction or float
-    oracle: bool | None
+    oracle: bool
     tolerance: float
 
     def to_payload(self):
@@ -774,19 +767,18 @@ class KssVerdict:
         }
 
 
-def kss_via_cone(fano, tolerance=1e-6, check_oracle=True):
+def kss_via_cone(fano, tolerance=1e-6):
     """K-semistability of a polarized toric base through its cone.
 
     Compares the normalized volume of the cone vertex against the
     degree bound: equality within tolerance means K-SEMISTABLE, a
     deficit beyond tolerance means UNSTABLE, and an excess beyond
     tolerance is impossible, so it is raised as an invariant violation.
-    With ``check_oracle`` (boundary-free inputs only) the barycenter
-    criterion is evaluated independently and any disagreement with the
-    verdict is a hard error.
+    The barycenter criterion is evaluated independently, and any
+    disagreement with the verdict is a hard error.
     """
     model = cone_construction(fano)
-    result = hvol_toric(model, tolerance=min(tolerance, 1e-9))
+    result = hvol_toric(model)
     bound = fano_degree_bound(fano)
     # compare in the value's own arithmetic: exact values in Fraction
     b = bound if result.exact else float(bound)
@@ -799,15 +791,13 @@ def kss_via_cone(fano, tolerance=1e-6, check_oracle=True):
             f"normalized volume {result.value} exceeds the degree bound {bound}",
         )
     verdict = "K-SEMISTABLE" if semistable else "UNSTABLE"
-    oracle = None
-    if check_oracle:
-        oracle = toric_kss_oracle(anticanonical_polytope(fano))
-        if oracle != semistable:
-            raise InvariantViolationError(
-                "oracle-disagreement",
-                f"barycenter criterion says {oracle}, volume comparison says {semistable}",
-                bound=format_rational(bound),
-            )
+    oracle = toric_kss_oracle(anticanonical_polytope(fano))
+    if oracle != semistable:
+        raise InvariantViolationError(
+            "oracle-disagreement",
+            f"barycenter criterion says {oracle}, volume comparison says {semistable}",
+            bound=format_rational(bound),
+        )
     return KssVerdict(
         verdict=verdict,
         hvol_result=result,

@@ -201,7 +201,7 @@ class TestErrorPaths:
             "--model": ["hvol", "--model", str(path)],
             "--ideal": ["mult", "--ideal", str(path)],
             "--body": ["lattice", "--body", str(path), "--k-range", "1:2"],
-            "--config": ["hvol", "--model", an2, "--config", str(path)],
+            "--config": ["hatl", "--model", an2, "--c", "1/8", "--k", "4", "--config", str(path)],
         }[flag]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -801,47 +801,54 @@ def test_pinned_result(capsys, workdir, argv, expected):
 
 
 class TestConfigPrecedence:
-    def test_config_file_applies(self, capsys, workdir):
-        model = write(workdir / "a1.json", {"type": "toric", "rays": [[0, 1], [2, -1]]})
-        (workdir / "hatvol.toml").write_text("tol = 1e-7\n# comment\n")
-        _, out, _ = run(capsys, "hvol", "--model", model)
-        assert result_of(out)["tolerance"] == 1e-7
+    # the settings are the two enumeration budgets: a budget of 3 refuses
+    # hatl --k 4 at n = 2 (exit 3), and the refusal names the budget
+    def test_config_file_applies(self, capsys, workdir, an2):
+        (workdir / "hatvol.toml").write_text("budget_n2 = 3\n# comment\n")
+        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
+        assert code == 3 and out == ""
+        assert json.loads(err)["budget"] == 3
 
-    def test_env_beats_file(self, capsys, workdir, monkeypatch):
-        model = write(workdir / "a1.json", {"type": "toric", "rays": [[0, 1], [2, -1]]})
-        (workdir / "hatvol.toml").write_text("tol = 1e-7\n")
-        monkeypatch.setenv("HATVOL_TOL", "1e-8")
-        _, out, _ = run(capsys, "hvol", "--model", model)
-        assert result_of(out)["tolerance"] == 1e-8
-
-    def test_flag_beats_env(self, capsys, workdir, monkeypatch):
-        model = write(workdir / "a1.json", {"type": "toric", "rays": [[0, 1], [2, -1]]})
-        monkeypatch.setenv("HATVOL_TOL", "1e-8")
-        _, out, _ = run(capsys, "hvol", "--model", model, "--tol", "1e-6")
-        assert result_of(out)["tolerance"] == 1e-6
+    def test_env_beats_file(self, capsys, workdir, monkeypatch, an2):
+        (workdir / "hatvol.toml").write_text("budget_n2 = 3\n")
+        monkeypatch.setenv("HATVOL_BUDGET_N2", "4")
+        code, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
+        assert code == 0
+        assert result_of(out)["k"] == 4
+        code, _, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "5")
+        assert code == 3 and json.loads(err)["budget"] == 4
 
     @pytest.mark.parametrize(
         "flags,env,config,error",
         [
             (["--config", "nope.toml"], None, None, "missing-file"),
             ([], None, "grid_depth = 8\n", "invalid-config"),
-            (["--tol", "nan"], None, None, "invalid-config"),
             ([], "nan", None, "invalid-config"),
-            ([], None, "tol = nan\n", "invalid-config"),
-            (["--tol", "inf"], None, None, "invalid-config"),
+            ([], None, "budget_n2 = nan\n", "invalid-config"),
+            ([], None, "budget_n2 = 2.5\n", "invalid-config"),
         ],
-        ids=["missing-file", "unknown-key", "nan-flag", "nan-env", "nan-file", "inf-flag"],
+        ids=["missing-file", "unknown-key", "nan-env", "nan-file", "float-file"],
     )
-    def test_bad_config_rejected(self, capsys, workdir, monkeypatch, flags, env, config, error):
-        model = write(workdir / "a1.json", {"type": "toric", "rays": [[0, 1], [2, -1]]})
+    def test_bad_config_rejected(self, capsys, workdir, monkeypatch, an2, flags, env, config, error):
         if env is not None:
-            monkeypatch.setenv("HATVOL_TOL", env)
+            monkeypatch.setenv("HATVOL_BUDGET_N2", env)
         if config is not None:
             (workdir / "hatvol.toml").write_text(config)
-        code, out, err = run(capsys, "hvol", "--model", model, *flags)
+        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4", *flags)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == error
 
+    def test_tolerance_is_no_setting(self, capsys, workdir, an2):
+        # hvol states one fixed tolerance: a stale tol key is unknown to
+        # the commands that read settings, and hvol reads none
+        (workdir / "hatvol.toml").write_text("tol = 1e-7\n")
+        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-config"
+        model = write(workdir / "a1.json", {"type": "toric", "rays": [[0, 1], [2, -1]]})
+        code, out, err = run(capsys, "hvol", "--model", model)
+        assert code == 0 and err == ""
+        assert result_of(out)["tolerance"] == invariants.TOLERANCE == 1e-9
 
     @pytest.mark.parametrize("budget", ["-5", "0"])
     @pytest.mark.parametrize("source", ["file", "env"])
@@ -857,10 +864,10 @@ class TestConfigPrecedence:
 
 class TestCommandOptions:
     # each command takes the options it reads and no others: --out
-    # everywhere, --format on the commands with a CSV table, --config on
-    # those that read settings and --tol on the one that reads it
+    # everywhere, --format on the commands with a CSV table and --config
+    # on those that read settings
     OPTIONS = {
-        "hvol": {"--model", "--out", "--config", "--tol"},
+        "hvol": {"--model", "--out"},
         "lct": {"--model", "--ideal", "--out"},
         "mult": {"--ideal", "--out"},
         "colength": {"--ideal", "--out"},
@@ -882,15 +889,17 @@ class TestCommandOptions:
 
     @pytest.mark.parametrize("source", ["config", "env"])
     def test_commands_without_settings_ignore_them(self, capsys, workdir, monkeypatch, an2, x2y3, source):
-        # neither an unknown key in ./hatvol.toml nor HATVOL_TOL=nan
+        # neither an unknown key in ./hatvol.toml nor HATVOL_BUDGET_N2=nan
         # reaches a command that reads no setting
         if source == "config":
-            (workdir / "hatvol.toml").write_text("grid_depth = 8\ntol = nan\n")
+            (workdir / "hatvol.toml").write_text("grid_depth = 8\nbudget_n2 = nan\n")
         else:
-            monkeypatch.setenv("HATVOL_TOL", "nan")
+            monkeypatch.setenv("HATVOL_BUDGET_N2", "nan")
         square = write(workdir / "square.json", {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
         fano = write(workdir / "p2.json", {"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3]], "r": 1})
         for argv in (
+            ["hvol", "--model", an2],
+            ["hvol", "--model", fano],
             ["mult", "--ideal", x2y3],
             ["lct", "--model", an2, "--ideal", x2y3],
             ["colength", "--ideal", x2y3],
@@ -902,8 +911,12 @@ class TestCommandOptions:
             assert code == 0 and err == "", (argv, err)
             assert result_of(out)
         # the commands that read settings still refuse them
-        code, _, err = run(capsys, "hvol", "--model", an2)
-        assert code == 2 and json.loads(err)["error"] == "invalid-config"
+        for argv in (
+            ["hatl", "--model", an2, "--c", "1/8", "--k", "4"],
+            ["scan", "--model", an2, "--k-max", "3"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and json.loads(err)["error"] == "invalid-config", argv
 
 
 class TestVerify:

@@ -260,6 +260,19 @@ class TestHvolToric:
         assert verdict.verdict == "UNSTABLE" and verdict.oracle is False
         assert verdict.bound == 8
 
+    @pytest.mark.parametrize("error,exact", [(1e-6, False), (1e-12, True)])
+    def test_upgrade_needs_the_newton_value_to_agree(self, monkeypatch, error, exact):
+        # the P(1,1,2) minimizer is rational and its exact gradient
+        # vanishes, but the upgrade also asks the float Newton value to
+        # agree with the exact value within TOLERANCE
+        numeric = 27 / 4 * (1 + error)
+        monkeypatch.setattr(I, "_newton_minimize", lambda model, objective: ([0.0, -1 / 3, 1.0], numeric, True))
+        result = I.hvol(fano([(-1, -1), (-1, 1), (3, -1)]))
+        assert result.exact is exact
+        assert result.value == (F(27, 4) if exact else numeric)
+        assert result.numeric_value == numeric
+        assert result.to_payload()["tolerance"] == I.TOLERANCE
+
     def test_weighted_123_cone(self):
         result = I.hvol(fano([(-1, -1), (-1, 1), (2, -1)]))
         assert result.exact and result.value == F(9, 2)
@@ -423,7 +436,7 @@ class TestConvergenceScan:
             assert value == F(4 * (k + 1), k)
             assert argmin == M.maximal_power(2, k)
         assert scan.reference_hvol == 4
-        assert scan.approaches_from_above
+        assert all(v >= scan.reference_hvol for _, v, _ in scan.rows)
         assert scan.liminf_estimate == F(32, 7)
 
     def test_all_rows_at_least_volume(self):
@@ -500,10 +513,6 @@ class TestKssViaCone:
         with pytest.raises(InvariantViolationError) as info:
             I.kss_via_cone(fano([(0,), (2,)]))
         assert info.value.code == "oracle-disagreement"
-
-    def test_oracle_skippable_for_log_pairs(self):
-        verdict = I.kss_via_cone(fano([(0,), (2,)]), check_oracle=False)
-        assert verdict.oracle is None
 
 
 class TestQBound:

@@ -1,6 +1,6 @@
 """Compare the CLI output of this tree with that of a git revision.
 
-    python3 tools/payload_diff.py REF [--seeds 1,2,3,7]
+    python3 tools/payload_diff.py REF [--seeds 1,2,3,7,10]
 
 Builds the job lists of the three benchmark workloads for each seed
 (hvbench/workloads.py, each list with its probe job) and runs them
@@ -92,7 +92,7 @@ def fields(output):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare against")
-    parser.add_argument("--seeds", default="1,2,3,7", help="comma-separated workload seeds")
+    parser.add_argument("--seeds", default="1,2,3,7,10", help="comma-separated workload seeds")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     jobs = job_list(seeds)
