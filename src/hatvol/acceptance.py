@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import geometry, invariants, linalg, monomials, simplex
@@ -31,15 +31,8 @@ from .models import (
 SEED = 20260810
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    measured: str
-    tolerance: str
-    runtime: float
-    detail: str = ""
-    hard_failure: bool = False
+class CriterionResult(namedtuple("CriterionResult", "name passed measured tolerance runtime detail hard_failure")):
+    __slots__ = ()
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"

@@ -34,7 +34,7 @@ probes run over `fractions.Fraction`; no floating point enters here.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -50,6 +50,12 @@ MAX_LATTICE_CELLS = 10**6
 
 def _as_point(p):
     return tuple(Fraction(x) for x in p)
+
+
+def _check_dim(dim):
+    """Refuse an ambient dimension above MAX_DIM."""
+    if dim > MAX_DIM:
+        raise ValidationError("unsupported-dimension", f"dimension {dim} exceeds supported maximum {MAX_DIM}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +180,7 @@ def convex_hull(points):
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise ValidationError("dimension-mismatch", "points of mixed dimension")
-    if dim > MAX_DIM:
-        raise ValidationError("unsupported-dimension", f"dimension {dim} exceeds supported maximum {MAX_DIM}")
+    _check_dim(dim)
     if dim < 1:
         raise ValidationError("unsupported-dimension", "dimension must be at least 1")
     # a positive common scale keeps the points sorted and distinct
@@ -391,13 +396,12 @@ def lattice_points(body, k):
     return count
 
 
-@dataclass(frozen=True)
-class CountingProbeResult:
-    """Per-dilation lattice counting errors and the empirical threshold."""
+class CountingProbeResult(namedtuple("CountingProbeResult", "rows epsilon k0")):
+    """Per-dilation lattice counting errors and the empirical threshold:
+    rows are (k, exact absolute error) pairs, and k0 is the least k in
+    range from which all later errors are <= epsilon, or None."""
 
-    rows: tuple  # (k, exact absolute error)
-    epsilon: Fraction
-    k0: int | None  # least k in range from which all later errors are <= epsilon
+    __slots__ = ()
 
     def error_at(self, k):
         for kk, err in self.rows:
@@ -448,10 +452,8 @@ def counting_error_probe(body, k_range, epsilon=Fraction(1, 20)):
 # monotone Riemann sums
 
 
-@dataclass(frozen=True)
-class RiemannGapResult:
-    gap: Fraction
-    bound: Fraction
+class RiemannGapResult(namedtuple("RiemannGapResult", "gap bound")):
+    __slots__ = ()
 
     @property
     def holds(self):

@@ -11,7 +11,7 @@ probes that the verification suite drives.
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import geometry, linalg, monomials
@@ -41,11 +41,11 @@ EQUIVARIANT_WARNING = (
 # log canonical threshold
 
 
-@dataclass(frozen=True)
-class LctResult:
-    value: Fraction
-    minimizing_weight: tuple
-    active_constraints: tuple  # generator exponents met with equality
+class LctResult(namedtuple("LctResult", "value minimizing_weight active_constraints")):
+    """The threshold, the weight of the chosen facet and the active
+    constraints: the generator exponents met with equality."""
+
+    __slots__ = ()
 
     def to_payload(self):
         return {
@@ -109,16 +109,19 @@ def normalized_multiplicity(model, ideal):
 # normalized volume
 
 
-@dataclass(frozen=True)
-class NormalizedVolumeResult:
-    value: object  # Fraction when exact, float otherwise
-    exact: bool
-    method: str  # closed_form | numeric_slice
-    minimizer: WeightValuation
-    tolerance: float | None = None
-    certificate: str | None = None
-    numeric_value: float | None = None
-    warnings: tuple = ()
+class NormalizedVolumeResult(
+    namedtuple(
+        "NormalizedVolumeResult",
+        "value exact method minimizer tolerance certificate numeric_value warnings",
+        defaults=(None, None, None, ()),
+    )
+):
+    """A normalized volume: value is a Fraction when exact, a float
+    otherwise; method is closed_form or numeric_slice; minimizer is a
+    WeightValuation. tolerance, certificate and numeric_value are None
+    where they do not apply."""
+
+    __slots__ = ()
 
     def to_payload(self):
         payload = {
@@ -278,7 +281,8 @@ def _newton_minimize(model, objective):
     Starts at the ray barycenter, which is interior and on the slice.
     Each step solves the KKT system [H m; m^T 0] exactly and halves
     until it stays interior and meets the Armijo condition. Returns the
-    last iterate, its value and whether the decrement test was met.
+    last iterate, its value and whether the decrement test was met; a
+    singular system ends the iteration unsettled.
     """
     n = model.n
     m = model.m_covector
@@ -288,6 +292,8 @@ def _newton_minimize(model, objective):
     for _ in range(NEWTON_MAX_STEPS):
         rows = [row + [mi] for row, mi in zip(hess, m)] + [list(m) + [0]]
         solution = linalg.solve_affine(rows, [-g for g in gradient] + [0], n + 1)
+        if solution is None:  # a float Hessian that lost its rank
+            return xi, value, False
         step = [float(x) for x in solution[:n]]
         decrement = -linalg.dot(gradient, step)
         final = decrement <= 2 * NEWTON_DECREMENT * value
@@ -319,21 +325,23 @@ def hvol_toric(model):
     most 64 at which the exact gradient vanishes, the result is upgraded
     to an exact value computed through the independent hull-based
     volume, provided the Newton value agrees with it to within
-    TOLERANCE. Otherwise the float value is reported with TOLERANCE,
-    or NonConvergedError is raised when the iteration did not settle.
-    Cones of dimension above `geometry.MAX_DIM` are refused before the
-    iteration starts.
+    TOLERANCE. Otherwise the float value is reported with TOLERANCE if
+    the exact value at its rational minimizer agrees as well, and
+    NonConvergedError is raised if it does not, if the iteration did not
+    settle or if its floats overflowed. Cones of dimension above
+    `geometry.MAX_DIM` are refused before the iteration starts.
     """
     if not isinstance(model, ToricSingularity):
         raise ValidationError("invalid-model", "expected a toric singularity")
     # the exact upgrade reads the hull volume of the dual body, so a cone
     # the hulls cannot take is refused up front, whether or not it fires
-    if model.n > geometry.MAX_DIM:
-        raise ValidationError(
-            "unsupported-dimension", f"dimension {model.n} exceeds supported maximum {geometry.MAX_DIM}"
-        )
+    geometry._check_dim(model.n)
     objective = _ToricObjective(model)
-    xi_unit, numeric_value, converged = _newton_minimize(model, objective)
+    try:
+        xi_unit, numeric_value, converged = _newton_minimize(model, objective)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # entries too large for floats, or pairings lost to cancellation
+        raise NonConvergedError(f"Newton iteration failed in floating point: {exc}") from exc
 
     # rational upgrade near a low-height rational point
     candidate = tuple(Fraction(x).limit_denominator(64) for x in xi_unit)
@@ -351,7 +359,7 @@ def hvol_toric(model):
                 )
             # the certificate is exact; this gate checks it against the
             # separate float Newton path
-            if abs(float(exact_value) - numeric_value) <= TOLERANCE * max(1.0, abs(numeric_value)):
+            if _agrees(exact_value, numeric_value):
                 return NormalizedVolumeResult(
                     value=exact_value,
                     exact=True,
@@ -369,6 +377,12 @@ def hvol_toric(model):
             best=numeric_value,
         )
     reported = tuple(Fraction(x).limit_denominator(10**9) for x in xi_unit)
+    point = linalg.clear_denominators(reported)
+    if not (model.is_interior(point) and _agrees(objective.certificate(point)[0], numeric_value)):
+        raise NonConvergedError(
+            f"the Newton value is not within {TOLERANCE} of the exact value at its reported minimizer",
+            best=numeric_value,
+        )
     level = linalg.dot(model.m_covector, reported)
     reported = tuple(x / level for x in reported)
     return NormalizedVolumeResult(
@@ -380,6 +394,13 @@ def hvol_toric(model):
         numeric_value=numeric_value,
         warnings=(EQUIVARIANT_WARNING,),
     )
+
+
+def _agrees(exact, numeric):
+    """Whether a float is within TOLERANCE of an exact value, relative when
+    above one; compared exactly, as a huge value would overflow a float."""
+    numeric = Fraction(numeric)
+    return abs(exact - numeric) <= Fraction(TOLERANCE) * max(1, abs(numeric))
 
 
 def hvol(model):
@@ -419,22 +440,21 @@ def _staircase_key(ideal):
     return ideal.staircase()
 
 
-@dataclass
 class ScanStats:
     """Work counters of normalized-colength scans, summed over the calls
     that share one instance: ideals that reached the minimization, ideals
     the lower bound ruled out, lct evaluations, and in exact mode the
     inner nodes of the staircase recursion whose subtree bound was
-    computed and the subtrees that bound skipped."""
+    computed and the subtrees that bound skipped. Each starts at 0."""
 
-    ideals_seen: int = 0
-    ideals_pruned: int = 0
-    lct_evaluations: int = 0
-    nodes_visited: int = 0
-    subtrees_pruned: int = 0
+    __slots__ = ("ideals_seen", "ideals_pruned", "lct_evaluations", "nodes_visited", "subtrees_pruned")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def to_payload(self):
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _argmin(ideals, value):
@@ -631,14 +651,16 @@ def _weight_grid(n, ratios):
             yield combo
 
 
-@dataclass(frozen=True)
-class ColengthScanResult:
-    c: Fraction
-    mode: str
-    rows: tuple  # (k, value, argmin ideal)
-    liminf_estimate: Fraction
-    reference_hvol: Fraction
-    warnings: tuple = (EQUIVARIANT_WARNING,)
+class ColengthScanResult(
+    namedtuple(
+        "ColengthScanResult",
+        "c mode rows liminf_estimate reference_hvol warnings",
+        defaults=((EQUIVARIANT_WARNING,),),
+    )
+):
+    """A convergence scan: rows are (k, value, argmin ideal) triples."""
+
+    __slots__ = ()
 
     def to_payload(self):
         return {
@@ -708,14 +730,7 @@ def colength_convergence_scan(model, c, k_range, mode="exact", budgets=None, sta
 # probes
 
 
-@dataclass(frozen=True)
-class LechGapReport:
-    n: int
-    k: int
-    delta: Fraction
-    min_ratio: Fraction
-    witness: monomials.MonomialIdeal
-    ideals_scanned: int
+LechGapReport = namedtuple("LechGapReport", "n k delta min_ratio witness ideals_scanned")
 
 
 def lech_gap_probe(n, k, delta):
@@ -747,14 +762,11 @@ def lech_gap_probe(n, k, delta):
     return LechGapReport(n=n, k=k, delta=delta, min_ratio=ratio, witness=witness, ideals_scanned=count)
 
 
-@dataclass(frozen=True)
-class KssVerdict:
-    verdict: str  # K-SEMISTABLE | UNSTABLE
-    hvol_result: NormalizedVolumeResult
-    bound: Fraction
-    margin: object  # bound - hvol, Fraction or float
-    oracle: bool
-    tolerance: float
+class KssVerdict(namedtuple("KssVerdict", "verdict hvol_result bound margin oracle tolerance")):
+    """verdict is K-SEMISTABLE or UNSTABLE; margin is bound - hvol, a
+    Fraction or a float as the hvol result is exact or not."""
+
+    __slots__ = ()
 
     def to_payload(self):
         return {
@@ -808,14 +820,10 @@ def kss_via_cone(fano, tolerance=1e-6):
     )
 
 
-@dataclass(frozen=True)
-class QBoundReport:
-    q: int
-    n: int
-    value: Fraction  # q (n-1)! vol(Q)
-    limit: Fraction  # n^n
-    oracle: bool
-    asserted: bool
+class QBoundReport(namedtuple("QBoundReport", "q n value limit oracle asserted")):
+    """value is q (n-1)! vol(Q), limit is n^n."""
+
+    __slots__ = ()
 
     @property
     def holds(self):
@@ -855,13 +863,7 @@ def q_bound_check(fano, q):
     return QBoundReport(q=q, n=n, value=value, limit=limit, oracle=oracle, asserted=oracle)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    weights: tuple
-    log_discrepancy: Fraction
-    volume: Fraction
-    value: Fraction
-    closed_form: Fraction
+WitnessReport = namedtuple("WitnessReport", "weights log_discrepancy volume value closed_form")
 
 
 def maxhvol_witness_check(model):

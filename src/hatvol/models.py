@@ -12,7 +12,7 @@ as such in reports.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import geometry, linalg
@@ -20,22 +20,21 @@ from .errors import ValidationError
 from .rationals import format_rational, parse_int, parse_rational
 
 
-@dataclass(frozen=True)
-class MonomialPair:
-    """Affine n-space with boundary sum(a_i H_i), coefficients in [0, 1)."""
+class MonomialPair(namedtuple("MonomialPair", "n coeffs")):
+    """Affine n-space with boundary sum(a_i H_i), coefficients in [0, 1).
 
-    n: int
-    coeffs: tuple
+    It has no __slots__: `integer_costs` is cached in the instance dict.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, coeffs):
+        if n < 1:
             raise ValidationError("invalid-dimension", "dimension must be positive")
-        coeffs = tuple(parse_rational(a) for a in self.coeffs)
-        if len(coeffs) != self.n:
+        coeffs = tuple(parse_rational(a) for a in coeffs)
+        if len(coeffs) != n:
             raise ValidationError("dimension-mismatch", "need one coefficient per coordinate hyperplane")
         if any(a < 0 or a >= 1 for a in coeffs):
             raise ValidationError("invalid-coefficient", "boundary coefficients must lie in [0, 1)")
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, n, coeffs)
 
     @functools.cached_property
     def integer_costs(self):
@@ -87,26 +86,24 @@ class ToricSingularity:
         return f"ToricSingularity(rays={list(self.cone.rays)})"
 
 
-@dataclass(frozen=True)
-class FanoConeInput:
-    """A polarized toric Fano base: lattice moment polytope plus the
-    Cartier index r of the polarization."""
+class FanoConeInput(namedtuple("FanoConeInput", "polytope r")):
+    """A polarized toric Fano base: lattice moment polytope (a
+    geometry.ConvexBody, hulled when given as points) plus the Cartier
+    index r of the polarization."""
 
-    polytope: geometry.ConvexBody
-    r: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __new__(cls, polytope, r=1):
+        if r < 1:
             raise ValidationError("invalid-index", "polarization index r must be a positive integer")
-        body = self.polytope
-        if not isinstance(body, geometry.ConvexBody):
-            body = geometry.convex_hull(body)
-            object.__setattr__(self, "polytope", body)
-        if not body.is_full_dimensional:
+        if not isinstance(polytope, geometry.ConvexBody):
+            polytope = geometry.convex_hull(polytope)
+        if not polytope.is_full_dimensional:
             raise ValidationError("degenerate-body", "moment polytope must be full-dimensional")
-        for v in body.vertices:
+        for v in polytope.vertices:
             if any(x.denominator != 1 for x in v):
                 raise ValidationError("invalid-polytope", "moment polytope must have lattice vertices")
+        return super().__new__(cls, polytope, r)
 
     @property
     def base_dim(self):
@@ -120,16 +117,15 @@ class FanoConeInput:
         }
 
 
-@dataclass(frozen=True)
-class WeightValuation:
+class WeightValuation(namedtuple("WeightValuation", "weights")):
     """A torus-equivariant valuation: positive weights on a monomial
     pair, or an interior lattice-tensor-Q point of the cone on a toric
     singularity."""
 
-    weights: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(parse_rational(w) for w in self.weights))
+    def __new__(cls, weights):
+        return super().__new__(cls, tuple(parse_rational(w) for w in weights))
 
     def scaled(self, factor):
         factor = parse_rational(factor)
@@ -263,6 +259,10 @@ def load_model(data):
     if kind == "monomial_pair":
         return MonomialPair(n=parse_int(data.get("n"), "n"), coeffs=tuple(value))
     if kind == "toric":
+        # refused before the double description, whose cost grows steeply
+        # with the dimension; no command takes such a cone
+        if value:
+            geometry._check_dim(len(value[0]))
         return ToricSingularity(geometry.Cone(value))
     vertices = [[parse_int(x, "polytope coordinate") for x in v] for v in value]
     return FanoConeInput(polytope=geometry.convex_hull(vertices), r=parse_int(data.get("r", 1), "r"))

@@ -15,7 +15,7 @@ is provided as an independent cross-check for small systems.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -24,11 +24,8 @@ from .errors import InvariantViolationError, ValidationError
 VERTEX_ENUMERATION_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class LinearProgramResult:
-    value: Fraction
-    weights: tuple
-    active: tuple  # indices of covering rows met with equality
+# active: the indices of the covering rows met with equality
+LinearProgramResult = namedtuple("LinearProgramResult", "value weights active")
 
 
 def _validate(costs, rows):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -168,6 +167,18 @@ class TestCommands:
         assert proc.returncode == 0
         assert result_of(proc.stdout)["value"] == "9"
         assert proc.stderr.strip() == "False"
+
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # -S keeps site .pth files out, so only hatvol's own imports count
+        src = os.path.dirname(os.path.dirname(hatvol.__file__))
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import hatvol.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
     def test_out_file(self, capsys, an2, workdir):
         target = workdir / "report.json"
@@ -419,6 +430,40 @@ class TestErrorPaths:
         result = result_of(out)
         assert code == 0 and (result["n"], result["value"], result["limit"]) == (5, "32", "3125")
         assert result["holds"] is True and result["oracle"] is True
+
+    def test_toric_model_above_max_dim_refused_on_load(self, capsys, workdir):
+        # the cone over the 15-dimensional cross-polytope: its double
+        # description alone takes tens of seconds, and reading the model
+        # refuses it first, for every command that reads a model
+        rays = [[s * int(i == j) for j in range(15)] + [1] for i in range(15) for s in (1, -1)]
+        model = write(workdir / "cross16.json", {"type": "toric", "rays": rays})
+        for argv in (["hvol", "--model", model], ["hatl", "--model", model, "--c", "1/8", "--k", "4"]):
+            started = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - started < 1
+            assert code == 2 and out == ""
+            assert json.loads(err) == {
+                "error": "unsupported-dimension",
+                "message": f"dimension 16 exceeds supported maximum {geometry.MAX_DIM}",
+            }
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"type": "toric", "rays": [[1, 0], [10**400, 1]]},
+            {"type": "toric", "rays": [[1, 0], [10**200, 1]]},
+            {"type": "toric", "rays": [[1, 0, 0], [0, 1, 0], [10**20, 10**20 + 1, 1]]},
+            {"type": "toric", "rays": [[1, 0, 0], [0, 1, 0], [10**200, 10**200 + 1, 1]]},
+            {"type": "fano_cone", "polytope": [[0, 0], [10**30, 0], [0, 1]]},
+        ],
+    )
+    def test_float_overflow_is_non_convergence(self, capsys, workdir, model):
+        # entries past what the float Newton path resolves overflow, divide
+        # by zero or make the Newton system singular there (the fourth
+        # cone); that is an unsettled iteration, not a crash
+        code, out, err = run(capsys, "hvol", "--model", write(workdir / "huge.json", model))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "non-converged"
 
     def test_csv_unsupported(self, capsys, an2):
         # only scan and lattice take --format
@@ -941,7 +986,7 @@ class TestVerify:
         def tampered(model, ideal):
             result = true_lct(model, ideal)
             if ideal == target:
-                return dataclasses.replace(result, value=result.value + 1)
+                return result._replace(value=result.value + 1)
             return result
 
         monkeypatch.setattr(invariants, "lct", tampered)

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +11,7 @@ from hatvol import models as MD
 from hatvol import monomials as M
 from hatvol import simplex
 from hatvol.acceptance import random_unimodular
-from hatvol.errors import InvariantViolationError, ValidationError
+from hatvol.errors import InvariantViolationError, NonConvergedError, ValidationError
 
 AN2 = MD.MonomialPair(2, (0, 0))
 AN3 = MD.MonomialPair(3, (0, 0, 0))
@@ -264,14 +263,35 @@ class TestHvolToric:
     def test_upgrade_needs_the_newton_value_to_agree(self, monkeypatch, error, exact):
         # the P(1,1,2) minimizer is rational and its exact gradient
         # vanishes, but the upgrade also asks the float Newton value to
-        # agree with the exact value within TOLERANCE
+        # agree with the exact value within TOLERANCE; a float value that
+        # does not is not reported either, since the exact value at its
+        # own minimizer is 27/4
         numeric = 27 / 4 * (1 + error)
         monkeypatch.setattr(I, "_newton_minimize", lambda model, objective: ([0.0, -1 / 3, 1.0], numeric, True))
-        result = I.hvol(fano([(-1, -1), (-1, 1), (3, -1)]))
-        assert result.exact is exact
-        assert result.value == (F(27, 4) if exact else numeric)
+        model = fano([(-1, -1), (-1, 1), (3, -1)])
+        if not exact:
+            with pytest.raises(NonConvergedError) as info:
+                I.hvol(model)
+            assert info.value.details == {"best": numeric}
+            return
+        result = I.hvol(model)
+        assert result.exact and result.value == F(27, 4)
         assert result.numeric_value == numeric
         assert result.to_payload()["tolerance"] == I.TOLERANCE
+
+    @pytest.mark.parametrize("N, exact", [(10**3, True), (10**6, True), (10**8, False), (10**15, False)])
+    def test_float_value_held_to_the_exact_value_at_its_minimizer(self, N, exact):
+        # a unimodular cone, so the value is 27; past N = 10^6 the float
+        # iteration loses it (27.0000005 at 10^8, 21.33 at 10^15), and the
+        # exact value at the reported minimizer refuses that float
+        model = MD.ToricSingularity(G.Cone([(1, 0, 0), (0, 1, 0), (N, N + 1, 1)]))
+        if exact:
+            result = I.hvol_toric(model)
+            assert result.exact and result.value == 27
+            return
+        with pytest.raises(NonConvergedError) as info:
+            I.hvol_toric(model)
+        assert info.value.details["best"] != 27
 
     def test_weighted_123_cone(self):
         result = I.hvol(fano([(-1, -1), (-1, 1), (2, -1)]))
@@ -402,7 +422,7 @@ class TestNormalizedColength:
         # these counts while every value stays the same
         stats = I.ScanStats()
         I.colength_convergence_scan(MD.MonomialPair(len(coeffs), coeffs), c, ks, mode=mode, stats=stats)
-        assert astuple(stats) == counts
+        assert tuple(stats.to_payload().values()) == counts
 
     def test_monotone_in_c(self):
         k = 5
