@@ -488,9 +488,46 @@ def _check_lct_against_lp(model, ideal):
         )
 
 
+# Exact scans (n, k, boundary, c) on which the pruned `normalized_colength`
+# meets the plain minimum; the fast suite runs the first two. Where the
+# argmin is not m^k (the nonzero boundaries), the seed of the scan is not
+# the optimum, so unsound pruning cannot hide behind it.
+PRUNING_ORACLE_CASES = (
+    (2, 6, (Fraction(3, 4), 0), Fraction(1, 8)),
+    (3, 3, (0, 0, 0), Fraction(1, 24)),
+    (3, 4, (0, 0, 0), Fraction(1, 24)),
+    (3, 4, (0, 0, 0), Fraction(1, 6)),
+    (3, 4, (Fraction(2, 3), 0, 0), Fraction(1, 24)),
+    (3, 4, (Fraction(2, 3), 0, 0), Fraction(1, 6)),
+    (2, 8, (Fraction(1, 2), 0), Fraction(1, 8)),
+)
+
+
+def _check_pruned_scan(model, c, k):
+    """The exact `normalized_colength` against the plain `_argmin` over
+    every staircase of colength at least c k^n, valued with the public
+    `lct` and no pruning: the same value and the same argmin."""
+    n = model.n
+    least = math.ceil(c * k**n)
+    family = (ideal for ideal in monomials.enumerate_staircases(n, k) if ideal.colength() >= least)
+    factor = math.factorial(n)
+    value, argmin, _ = invariants._argmin(
+        family, lambda ideal: factor * invariants.lct(model, ideal).value ** n * ideal.colength()
+    )
+    got, got_argmin = invariants.normalized_colength(model, c, k)
+    if (got, got_argmin.gens) != (value, argmin.gens):
+        raise InvariantViolationError(
+            "pruned-scan-disagreement",
+            f"the pruned scan gave {got} at {[list(g) for g in got_argmin.gens]}, "
+            f"the plain minimum {value} at {[list(g) for g in argmin.gens]}",
+            n=n, k=k, c=str(c), coeffs=[str(a) for a in model.coeffs],
+        )
+
+
 def criterion_cross_validation(fast=False):
     """Independent paths agree: facet kernels, multiplicities by box
-    covolume, thresholds, multiplicities by the colength limit, scaling."""
+    covolume, thresholds, pruned exact scans, multiplicities by the
+    colength limit, scaling."""
     rng = random.Random(SEED + 1)
     kernels = 0
     for ideal in kernel_oracle_corpus(fast):
@@ -506,6 +543,9 @@ def criterion_cross_validation(fast=False):
         for ideal in monomials.enumerate_staircases(n, k):
             corpus += 1
             _check_lct_against_lp(model, ideal)
+    scans = PRUNING_ORACLE_CASES[:2] if fast else PRUNING_ORACLE_CASES
+    for n, k, coeffs, c in scans:
+        _check_pruned_scan(MonomialPair(n, coeffs), c, k)
     plane = MonomialPair(2, (0, 0))
     vertex_checks = 0
     for ideal in monomials.enumerate_staircases(2, 4 if fast else 6):
@@ -541,6 +581,7 @@ def criterion_cross_validation(fast=False):
         f"{kernels} facet-kernel checks against subset enumeration and pairings, "
         f"{covolumes} n = 3 multiplicities against box covolumes, "
         f"{corpus} threshold cross-checks against the LP, {vertex_checks} against vertex enumeration, "
+        f"{len(scans)} pruned exact scans against the plain minimum, "
         f"worst limit deviation {float(worst):.3f}, {cases} scaling cases",
         "exact / within 5%",
         "",

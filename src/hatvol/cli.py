@@ -3,13 +3,13 @@
 Commands: hvol, lct, mult, colength, hatl, scan, lattice, cone, qbound,
 verify. Results are JSON (rationals as "p/q" strings, floats only on
 explicitly inexact values); scan and lattice tables can also be emitted
-as CSV. Each command takes only the options it reads: --out everywhere,
---format on scan and lattice, and --config on hatl and scan, the only
-commands that read settings. The settings are the enumeration budgets
-budget_n2 and budget_n3; their precedence is environment (HATVOL_*) >
-config file (flat key = value) > defaults. Exit codes: 0 success, 2
-validation error, 3 budget or non-convergence, 4 internal invariant
-violation. Errors are machine-readable JSON on standard error.
+as CSV. Each command takes only the options it reads: --out everywhere
+and --format on scan and lattice. No command reads the environment or a
+configuration file, so a report depends only on its arguments and its
+input files; every work limit is a fixed constant of the package.
+Exit codes: 0 success, 2 validation error, 3 budget or non-convergence,
+4 internal invariant violation. Errors are machine-readable JSON on
+standard error.
 """
 
 import argparse
@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import os
 import re
 import sys
 import time
@@ -28,10 +27,6 @@ from .errors import HatvolError, ValidationError
 from .models import FanoConeInput, MonomialPair, cone_construction, fano_degree_bound, load_model
 from .rationals import format_rational, parse_rational
 
-
-# the settings: each enumeration budget under its config key (read from
-# the environment as HATVOL_<KEY>), with the dimension it bounds
-BUDGET_KEYS = {"budget_n2": 2, "budget_n3": 3}
 
 # most dilations one `lattice --k-range` may ask for
 MAX_DILATIONS = 1000
@@ -46,48 +41,6 @@ def _read_text(path, kind):
         raise ValidationError("missing-file", f"{kind} file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError("unreadable-file", f"cannot read {kind} file {path}: {exc}") from exc
-
-
-def _parse_budget(name, raw):
-    if name not in BUDGET_KEYS:
-        raise ValidationError("invalid-config", f"unknown configuration key {name!r}")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError("invalid-config", f"cannot parse {name}={raw!r}") from exc
-    if value < 1:
-        raise ValidationError("invalid-config", f"{name} must be at least 1")
-    return value
-
-
-def _read_config_file(path):
-    values = {}
-    for lineno, line in enumerate(_read_text(path, "config").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError("invalid-config", f"{path}:{lineno}: expected key = value")
-        key, _, raw = line.partition("=")
-        key = key.strip().lower()
-        values[key] = _parse_budget(key, raw.strip().strip('"'))
-    return values
-
-
-def resolve_budgets(args):
-    """The enumeration budget of each dimension, as `{n: budget}`:
-    HATVOL_* environment > config file > defaults."""
-    values = {}
-    config_path = args.config
-    if config_path is None and os.path.exists("hatvol.toml"):
-        config_path = "hatvol.toml"
-    if config_path is not None:
-        values.update(_read_config_file(config_path))
-    for name in BUDGET_KEYS:
-        env = os.environ.get(f"HATVOL_{name.upper()}")
-        if env is not None:
-            values[name] = _parse_budget(name, env)
-    return {n: values.get(name, monomials.ENUM_BUDGETS[n]) for name, n in BUDGET_KEYS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +94,7 @@ def _parse_k_range(text):
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (result_payload, warnings, csv_rows, stats),
-# with stats None or a payload of work counters. Only hatl and scan read
-# settings, so only they resolve them.
+# with stats None or a payload of work counters.
 
 
 def _cmd_hvol(args):
@@ -169,32 +121,27 @@ def _cmd_colength(args):
 
 
 def _cmd_hatl(args):
-    budgets = resolve_budgets(args)
     model = _load_model(args.model)
+    c = parse_rational(args.c)
     stats = invariants.ScanStats()
-    value, argmin = invariants.normalized_colength(
-        model, parse_rational(args.c), args.k, mode=args.mode, budgets=budgets, stats=stats
-    )
+    value, argmin = invariants.normalized_colength(model, c, args.k, mode=args.mode, stats=stats)
     payload = {
         "value": format_rational(value),
         "argmin": [list(g) for g in argmin.gens],
         "mode": args.mode,
-        "c": format_rational(parse_rational(args.c)),
+        "c": format_rational(c),
         "k": args.k,
     }
     return payload, [invariants.EQUIVARIANT_WARNING], None, stats.to_payload()
 
 
 def _cmd_scan(args):
-    budgets = resolve_budgets(args)
     model = _load_model(args.model)
     if not isinstance(model, MonomialPair):
         raise ValidationError("invalid-model", "scan expects a monomial_pair model")
     c = parse_rational(args.c) if args.c is not None else invariants.default_scan_constant(model.n)
     stats = invariants.ScanStats()
-    scan = invariants.colength_convergence_scan(
-        model, c, range(args.k_min, args.k_max + 1), mode=args.mode, budgets=budgets, stats=stats
-    )
+    scan = invariants.colength_convergence_scan(model, c, range(args.k_min, args.k_max + 1), mode=args.mode, stats=stats)
     return scan.to_payload(), list(scan.warnings), scan.csv_rows(), stats.to_payload()
 
 
@@ -281,7 +228,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, ideal=False, config=False, table=False):
+    def common(p, model=False, ideal=False, table=False):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         if ideal:
@@ -289,8 +236,6 @@ def build_parser():
         p.add_argument("--out", help="write the report to this file instead of stdout")
         if table:
             p.add_argument("--format", choices=("json", "csv"), default="json")
-        if config:
-            p.add_argument("--config", help="key = value configuration file")
 
     p = sub.add_parser("hvol", help="normalized volume of a model")
     common(p, model=True)
@@ -301,12 +246,12 @@ def build_parser():
     p = sub.add_parser("colength", help="colength of an m-primary ideal")
     common(p, ideal=True)
     p = sub.add_parser("hatl", help="normalized colength at one level k")
-    common(p, model=True, config=True)
+    common(p, model=True)
     p.add_argument("--c", required=True, help="colength fraction c (rational)")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--mode", choices=("exact", "upper"), default="exact")
     p = sub.add_parser("scan", help="normalized colength convergence scan")
-    common(p, model=True, config=True, table=True)
+    common(p, model=True, table=True)
     p.add_argument("--c", help="colength fraction c (rational); default e(m)/(4 n!)")
     p.add_argument("--k-min", dest="k_min", type=int, default=2)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)

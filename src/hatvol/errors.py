@@ -33,7 +33,7 @@ class ValidationError(HatvolError):
 
 
 class BudgetExceededError(HatvolError):
-    """A configured enumeration budget would be exceeded. Exit code 3."""
+    """A fixed work budget would be exceeded. Exit code 3."""
 
     code = "enumeration-budget-exceeded"
     exit_code = EXIT_BUDGET

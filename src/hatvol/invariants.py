@@ -503,12 +503,12 @@ def _lct_floor(costs, gens):
     return best_p, best_q
 
 
-def _check_level_budget(n, k, mode, budgets):
-    """Refuse level k past the budget of its mode: the enumeration
-    budgets in exact mode, the fixed `monomials.UPPER_BUDGETS` ceiling in
-    upper mode (a dimension without one is refused past k = 1)."""
+def _check_level_budget(n, k, mode):
+    """Refuse level k past the budget of its mode: `monomials.ENUM_BUDGETS`
+    in exact mode, `monomials.UPPER_BUDGETS` in upper mode (a dimension
+    without one is refused past k = 1)."""
     if mode == "exact":
-        monomials._check_enumeration_budget(n, k, budgets)
+        monomials._check_enumeration_budget(n, k)
     elif mode == "upper":
         budget = monomials.UPPER_BUDGETS.get(n, 1)
         if k > budget:
@@ -518,15 +518,15 @@ def _check_level_budget(n, k, mode, budgets):
             )
 
 
-def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
+def normalized_colength(model, c, k, mode="exact", stats=None):
     """The normalized colength at level k: n! times the least
     lct^n * colength over ideals between the k-th power of the maximal
     ideal and the maximal ideal with colength at least c k^n.
 
     Exact mode minimizes over every monomial staircase in range (refusing
-    beyond the configured budget); upper mode scans valuation ideals of
-    a rational weight grid and therefore only bounds the infimum from
-    above (refusing above the fixed ceiling `monomials.UPPER_BUDGETS`).
+    beyond `monomials.ENUM_BUDGETS`); upper mode scans valuation ideals
+    of a rational weight grid and therefore only bounds the infimum from
+    above (refusing beyond `monomials.UPPER_BUDGETS`).
     Ties are broken by the lexicographically least staircase.
 
     Each value is exact, from the integer facet pick of `lct`. The scan
@@ -613,17 +613,20 @@ def normalized_colength(model, c, k, mode="exact", budgets=None, stats=None):
         stats.subtrees_pruned += 1
         return True
 
-    _check_level_budget(n, k, mode, budgets)
+    _check_level_budget(n, k, mode)
     if mode == "exact":
-        ideals = monomials.enumerate_staircases(
-            n, k, min_colength=max(1, min_colength), budgets=budgets, prune=prune
-        )
+        ideals = monomials.enumerate_staircases(n, k, min_colength=max(1, min_colength), prune=prune)
         bar = Fraction(factor * sum(costs) ** n * full, (scale * k) ** n)
     elif mode == "upper":
         ideals = _valuation_ideals(n, k, min_colength, DEFAULT_WEIGHT_RATIOS)
     else:
         raise ValidationError("invalid-mode", f"unknown mode {mode!r}")
     best = _argmin(filter(unbeaten, ideals), value)
+    if best is None and mode == "exact":
+        # m^k is in range and ties are never skipped: only unsound pruning gets here
+        raise InvariantViolationError(
+            "empty-exact-scan", f"the exact scan at k={k} evaluated no ideal, though m^{k} is in range", n=n, k=k
+        )
     if best is None:
         raise ValidationError(
             "infeasible-c",
@@ -686,7 +689,7 @@ class ColengthScanResult(
         return out
 
 
-def colength_convergence_scan(model, c, k_range, mode="exact", budgets=None, stats=None):
+def colength_convergence_scan(model, c, k_range, mode="exact", stats=None):
     """Normalized colengths along increasing k, with a liminf estimate.
 
     The estimate is the minimum over the tail half of the scanned range.
@@ -701,14 +704,14 @@ def colength_convergence_scan(model, c, k_range, mode="exact", budgets=None, sta
     reference = hvol_closed_form(model).value
     ks = []
     for k in k_range:
-        _check_level_budget(model.n, k, mode, budgets)
+        _check_level_budget(model.n, k, mode)
         ks.append(k)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError("invalid-range", "k_range must be nonempty and strictly increasing")
     c = parse_rational(c)
     rows = []
     for k in ks:
-        value, ideal = normalized_colength(model, c, k, mode=mode, budgets=budgets, stats=stats)
+        value, ideal = normalized_colength(model, c, k, mode=mode, stats=stats)
         if value < reference:
             raise InvariantViolationError(
                 "colength-below-volume",
@@ -844,17 +847,18 @@ class QBoundReport(namedtuple("QBoundReport", "q n value limit oracle asserted")
 def q_bound_check(fano, q):
     """Check q times the anticanonical degree against n^n.
 
-    The input polytope is the anticanonical moment polytope of the base;
-    q is its supplied divisibility. The inequality is asserted only when
-    the barycenter oracle certifies K-semistability; otherwise the
-    numbers are reported without an assertion.
+    Q = polytope / r is the anticanonical moment polytope of the base, with
+    (-K)^(n-1) = (n-1)! vol(Q); q is the supplied divisibility of -K. The
+    inequality is asserted only when the barycenter oracle certifies Q
+    K-semistable; otherwise the numbers are reported without an assertion.
     """
     if q < 1:
         raise ValidationError("invalid-index", "q must be a positive integer")
     n = fano.base_dim + 1
-    value = q * math.factorial(n - 1) * fano.polytope.volume()
+    anticanonical = anticanonical_polytope(fano)
+    value = q * math.factorial(n - 1) * anticanonical.volume()
     limit = Fraction(n) ** n
-    oracle = toric_kss_oracle(fano.polytope)
+    oracle = toric_kss_oracle(anticanonical)
     if oracle and value > limit:
         raise InvariantViolationError(
             "q-bound-violated",

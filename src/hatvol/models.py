@@ -209,7 +209,10 @@ def fano_degree_bound(fano):
 
 
 def anticanonical_polytope(fano):
-    """Moment polytope of the anticanonical class, polytope / r."""
+    """Moment polytope of the anticanonical class, polytope / r: the
+    model's own polytope when r is 1."""
+    if fano.r == 1:
+        return fano.polytope
     scaled = [tuple(Fraction(x, fano.r) for x in v) for v in fano.polytope.vertices]
     return geometry.convex_hull(scaled)
 

@@ -19,13 +19,12 @@ from . import geometry, linalg
 from .errors import BudgetExceededError, ValidationError
 from .rationals import parse_int, parse_rational
 
-# exhaustive enumeration is exact or refuses to run; these are the
-# default staircase budgets per ambient dimension
+# exhaustive enumeration is exact or refuses to run; these are the fixed
+# staircase budgets per ambient dimension
 ENUM_BUDGETS = {2: 12, 3: 5}
 
-# fixed k ceilings of the upper-mode valuation-ideal scan per ambient
-# dimension, each about 20 s or less on a 2-core machine; other
-# dimensions are refused
+# the largest level k the upper-mode valuation-ideal scan accepts in each
+# ambient dimension; a dimension not listed is refused past k = 1
 UPPER_BUDGETS = {1: 100000, 2: 480, 3: 5, 4: 2}
 
 # largest box of column cells a height computation builds; larger boxes
@@ -385,11 +384,10 @@ def _with_columns(n, dims, cells, below, heights):
     return ideal
 
 
-def _check_enumeration_budget(n, k, budgets=None):
-    """Refuse an exhaustive enumeration at level k past the budget for n
-    (``budgets``, by default ENUM_BUDGETS); a dimension without a budget
-    passes."""
-    budget = (ENUM_BUDGETS if budgets is None else budgets).get(n)
+def _check_enumeration_budget(n, k):
+    """Refuse an exhaustive enumeration at level k past ENUM_BUDGETS[n];
+    a dimension without a budget passes."""
+    budget = ENUM_BUDGETS.get(n)
     if budget is not None and k > budget:
         raise BudgetExceededError(
             f"enumeration for n={n} is budgeted at k <= {budget}, got k={k}",
@@ -397,7 +395,7 @@ def _check_enumeration_budget(n, k, budgets=None):
         )
 
 
-def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None, prune=None):
+def enumerate_staircases(n, k, min_colength=1, contain_power=None, prune=None):
     """Yield every monomial ideal with m^k <= a <= m and colength >= min_colength.
 
     Each ideal appears exactly once, as the column heights it sets over
@@ -405,8 +403,8 @@ def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None,
     lexicographic order of those heights (cells in lexicographic order).
     Each height runs upward from its floor to the least of k - |u| and
     the heights one step below. ``contain_power`` = j further restricts
-    to a <= m^j. Refuses (rather than truncates) when k exceeds the
-    configured budget.
+    to a <= m^j. Refuses (rather than truncates) when k exceeds
+    ENUM_BUDGETS.
 
     ``prune(a_min, least_colength)``, if given, is asked at every inner
     node of the recursion before its subtree is enumerated; a true answer
@@ -423,7 +421,7 @@ def enumerate_staircases(n, k, min_colength=1, contain_power=None, budgets=None,
         raise ValidationError("invalid-dimension", "exhaustive enumeration supports n in {2, 3}")
     if k < 1:
         raise ValidationError("invalid-exponent", "k must be a positive integer")
-    _check_enumeration_budget(n, k, budgets)
+    _check_enumeration_budget(n, k)
     floor_j = contain_power if contain_power is not None else 0
     # cells with |u| >= k keep height 0; they let the corner reader see
     # the generators with last exponent 0

@@ -15,14 +15,13 @@ from hatvol import geometry
 from hatvol import invariants
 from hatvol import monomials
 from hatvol.cli import build_parser, main
+from hatvol.errors import InvariantViolationError
+from hatvol.models import MonomialPair
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name in list(os.environ):
-        if name.startswith("HATVOL_"):
-            monkeypatch.delenv(name)
     return tmp_path
 
 
@@ -149,6 +148,15 @@ class TestCommands:
         result = result_of(out)
         assert code == 0 and result["value"] == "27" and result["holds"] is True
 
+    def test_qbound_reads_the_anticanonical_polytope(self, capsys, workdir):
+        # P^2 polarized by 2(-K): the polytope is twice the anticanonical
+        # one, whose degree is 9 and whose barycenter is its interior point
+        model = write(workdir / "p2.json", {"type": "fano_cone", "polytope": [[0, 0], [6, 0], [0, 6]], "r": 2})
+        code, out, err = run(capsys, "qbound", "--model", model, "--q", "3")
+        assert code == 0 and err == ""
+        result = result_of(out)
+        assert (result["value"], result["limit"], result["oracle"], result["asserted"]) == ("27", "27", True, True)
+
     def test_hvol_without_scipy(self, workdir):
         # the toric optimizer is pure Python; nothing on this path imports scipy
         model = write(workdir / "p2.json", {"type": "fano_cone", "polytope": [[0, 0], [3, 0], [0, 3]], "r": 1})
@@ -200,7 +208,7 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(err)["error"] == "missing-file"
 
-    @pytest.mark.parametrize("flag", ["--model", "--ideal", "--body", "--config"])
+    @pytest.mark.parametrize("flag", ["--model", "--ideal", "--body"])
     @pytest.mark.parametrize("bad", ["directory", "non-utf8"])
     def test_unreadable_input_rejected(self, capsys, workdir, an2, x2y3, flag, bad):
         path = workdir / "bad"
@@ -212,11 +220,22 @@ class TestErrorPaths:
             "--model": ["hvol", "--model", str(path)],
             "--ideal": ["mult", "--ideal", str(path)],
             "--body": ["lattice", "--body", str(path), "--k-range", "1:2"],
-            "--config": ["hatl", "--model", an2, "--c", "1/8", "--k", "4", "--config", str(path)],
         }[flag]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "unreadable-file"
+
+    def test_exact_scan_without_an_ideal_is_an_invariant_violation(self, capsys, monkeypatch, an2):
+        # m^k is in range and ties are never skipped, so an exact scan that
+        # evaluates no ideal can only come from unsound pruning: exit 4
+        monkeypatch.setattr(invariants, "_lct_floor", lambda costs, gens: (10**9, 1))
+        model = MonomialPair(2, (0, 0))
+        with pytest.raises(InvariantViolationError) as caught:
+            invariants.normalized_colength(model, "1/8", 4)
+        assert caught.value.code == "empty-exact-scan"
+        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "empty-exact-scan"
 
     def test_budget_exceeded(self, capsys, an2):
         code, _, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "20")
@@ -556,8 +575,8 @@ FUZZ_COMMANDS = {
 }
 
 
-# the workdir fixture only fixes the directory and clears HATVOL_*; each
-# example rewrites doc.json in it
+# the workdir fixture only fixes the directory; each example rewrites
+# doc.json in it
 @settings(
     derandomize=True, max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -845,79 +864,41 @@ def test_pinned_result(capsys, workdir, argv, expected):
     assert json.dumps(result_of(out), sort_keys=True) == expected
 
 
-class TestConfigPrecedence:
-    # the settings are the two enumeration budgets: a budget of 3 refuses
-    # hatl --k 4 at n = 2 (exit 3), and the refusal names the budget
-    def test_config_file_applies(self, capsys, workdir, an2):
-        (workdir / "hatvol.toml").write_text("budget_n2 = 3\n# comment\n")
-        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
-        assert code == 3 and out == ""
-        assert json.loads(err)["budget"] == 3
+def test_no_settings_reach_hatl_or_scan(capsys, workdir, monkeypatch, an2):
+    # no command reads ./hatvol.toml or HATVOL_*: beside a budget of 3, a
+    # stale tol line and an unknown key, hatl and scan report what they
+    # report without them, and the exact budget at n = 2 stays 12
+    argvs = (["hatl", "--model", an2, "--c", "1/8", "--k", "4"], ["scan", "--model", an2, "--k-max", "3"])
 
-    def test_env_beats_file(self, capsys, workdir, monkeypatch, an2):
-        (workdir / "hatvol.toml").write_text("budget_n2 = 3\n")
-        monkeypatch.setenv("HATVOL_BUDGET_N2", "4")
-        code, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
-        assert code == 0
-        assert result_of(out)["k"] == 4
-        code, _, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "5")
-        assert code == 3 and json.loads(err)["budget"] == 4
+    def reports():
+        out = []
+        for argv in argvs:
+            code, text, err = run(capsys, *argv)
+            assert code == 0 and err == "", (argv, err)
+            report = json.loads(text)
+            del report["timing_ms"]
+            out.append(report)
+        return out
 
-    @pytest.mark.parametrize(
-        "flags,env,config,error",
-        [
-            (["--config", "nope.toml"], None, None, "missing-file"),
-            ([], None, "grid_depth = 8\n", "invalid-config"),
-            ([], "nan", None, "invalid-config"),
-            ([], None, "budget_n2 = nan\n", "invalid-config"),
-            ([], None, "budget_n2 = 2.5\n", "invalid-config"),
-        ],
-        ids=["missing-file", "unknown-key", "nan-env", "nan-file", "float-file"],
-    )
-    def test_bad_config_rejected(self, capsys, workdir, monkeypatch, an2, flags, env, config, error):
-        if env is not None:
-            monkeypatch.setenv("HATVOL_BUDGET_N2", env)
-        if config is not None:
-            (workdir / "hatvol.toml").write_text(config)
-        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4", *flags)
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == error
-
-    def test_tolerance_is_no_setting(self, capsys, workdir, an2):
-        # hvol states one fixed tolerance: a stale tol key is unknown to
-        # the commands that read settings, and hvol reads none
-        (workdir / "hatvol.toml").write_text("tol = 1e-7\n")
-        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "invalid-config"
-        model = write(workdir / "a1.json", {"type": "toric", "rays": [[0, 1], [2, -1]]})
-        code, out, err = run(capsys, "hvol", "--model", model)
-        assert code == 0 and err == ""
-        assert result_of(out)["tolerance"] == invariants.TOLERANCE == 1e-9
-
-    @pytest.mark.parametrize("budget", ["-5", "0"])
-    @pytest.mark.parametrize("source", ["file", "env"])
-    def test_budget_below_one_rejected(self, capsys, workdir, monkeypatch, an2, budget, source):
-        if source == "file":
-            (workdir / "hatvol.toml").write_text(f"budget_n2 = {budget}\n")
-        else:
-            monkeypatch.setenv("HATVOL_BUDGET_N2", budget)
-        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "4")
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "invalid-config"
+    clean = reports()
+    (workdir / "hatvol.toml").write_text("budget_n2 = 3\ntol = 1e-7\ngrid_depth = 8\n")
+    monkeypatch.setenv("HATVOL_BUDGET_N2", "3")
+    assert reports() == clean
+    code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "13")
+    assert code == 3 and out == ""
+    assert json.loads(err)["budget"] == monomials.ENUM_BUDGETS[2] == 12
 
 
 class TestCommandOptions:
     # each command takes the options it reads and no others: --out
-    # everywhere, --format on the commands with a CSV table and --config
-    # on those that read settings
+    # everywhere and --format on the commands with a CSV table
     OPTIONS = {
         "hvol": {"--model", "--out"},
         "lct": {"--model", "--ideal", "--out"},
         "mult": {"--ideal", "--out"},
         "colength": {"--ideal", "--out"},
-        "hatl": {"--model", "--out", "--config", "--c", "--k", "--mode"},
-        "scan": {"--model", "--out", "--format", "--config", "--c", "--k-min", "--k-max", "--mode"},
+        "hatl": {"--model", "--out", "--c", "--k", "--mode"},
+        "scan": {"--model", "--out", "--format", "--c", "--k-min", "--k-max", "--mode"},
         "lattice": {"--body", "--out", "--format", "--k-range", "--epsilon"},
         "cone": {"--model", "--out"},
         "qbound": {"--model", "--out", "--q"},
@@ -935,7 +916,7 @@ class TestCommandOptions:
     @pytest.mark.parametrize("source", ["config", "env"])
     def test_commands_without_settings_ignore_them(self, capsys, workdir, monkeypatch, an2, x2y3, source):
         # neither an unknown key in ./hatvol.toml nor HATVOL_BUDGET_N2=nan
-        # reaches a command that reads no setting
+        # reaches any command
         if source == "config":
             (workdir / "hatvol.toml").write_text("grid_depth = 8\nbudget_n2 = nan\n")
         else:
@@ -951,17 +932,12 @@ class TestCommandOptions:
             ["lattice", "--body", square, "--k-range", "5,10"],
             ["cone", "--model", fano],
             ["qbound", "--model", fano, "--q", "3"],
+            ["hatl", "--model", an2, "--c", "1/8", "--k", "4"],
+            ["scan", "--model", an2, "--k-max", "3"],
         ):
             code, out, err = run(capsys, *argv)
             assert code == 0 and err == "", (argv, err)
             assert result_of(out)
-        # the commands that read settings still refuse them
-        for argv in (
-            ["hatl", "--model", an2, "--c", "1/8", "--k", "4"],
-            ["scan", "--model", an2, "--k-max", "3"],
-        ):
-            code, _, err = run(capsys, *argv)
-            assert code == 2 and json.loads(err)["error"] == "invalid-config", argv
 
 
 class TestVerify:
@@ -1047,3 +1023,20 @@ class TestVerify:
         assert [r.name for r in results if not r.passed] == ["engine-cross-validation"]
         cross = next(r for r in results if r.name == "engine-cross-validation")
         assert cross.hard_failure and "the box covolume gave" in cross.measured
+
+    def test_loosened_subtree_bound_trips_exit_four(self, monkeypatch):
+        # a subtree hook told one more than the least colength prunes
+        # subtrees that hold the optimum; only the plain minimum sees it
+        true_enumerate = monomials.enumerate_staircases
+
+        def loosened(n, k, min_colength=1, contain_power=None, prune=None):
+            if prune is not None:
+                hook = prune
+                prune = lambda a_min, least: hook(a_min, least + 1)  # noqa: E731
+            return true_enumerate(n, k, min_colength, contain_power, prune=prune)
+
+        monkeypatch.setattr(monomials, "enumerate_staircases", loosened)
+        results = acceptance.run_suite("fast")
+        assert acceptance.suite_exit_code(results) == 4
+        cross = next(r for r in results if r.name == "engine-cross-validation")
+        assert cross.hard_failure and "the plain minimum" in cross.measured

@@ -442,8 +442,6 @@ class TestEnumeration:
             next(M.enumerate_staircases(2, 13))
         with pytest.raises(BudgetExceededError):
             next(M.enumerate_staircases(3, 6))
-        # budgets are configuration
-        assert next(M.enumerate_staircases(2, 13, budgets={2: 13})) is not None
 
     def test_contain_power_floor(self):
         ideals = list(M.enumerate_staircases(2, 6, contain_power=3))

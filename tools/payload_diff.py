@@ -6,8 +6,9 @@ Builds the job lists of the three benchmark workloads for each seed
 (hvbench/workloads.py, each list with its probe job) and runs them
 through `hatvol.cli.main` twice: once with this tree's `src/` and once
 with `git archive REF src`. Each side runs in its own interpreter, in a
-temporary directory holding the input files, with HATVOL_* settings
-stripped from the environment. A job matches when its exit code, its
+temporary directory holding the input files, with HATVOL_* variables
+stripped from the environment, since older revisions read them as
+settings. A job matches when its exit code, its
 stderr and its JSON report without `timing_ms` are equal on both
 sides. Prints each job that differs, with what differs (rc, stderr or
 a report key such as result or stats), and a summary line; exits 1 on
