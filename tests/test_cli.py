@@ -864,29 +864,52 @@ def test_pinned_result(capsys, workdir, argv, expected):
     assert json.dumps(result_of(out), sort_keys=True) == expected
 
 
-def test_no_settings_reach_hatl_or_scan(capsys, workdir, monkeypatch, an2):
-    # no command reads ./hatvol.toml or HATVOL_*: beside a budget of 3, a
-    # stale tol line and an unknown key, hatl and scan report what they
-    # report without them, and the exact budget at n = 2 stays 12
-    argvs = (["hatl", "--model", an2, "--c", "1/8", "--k", "4"], ["scan", "--model", an2, "--k-max", "3"])
+class TestConfigPrecedence:
+    # ./hatvol.toml and HATVOL_* once set the enumeration budgets; no
+    # command reads either now, so hatl and scan report what they report
+    # without them, and the exact budget at n = 2 stays 12
+    ARGVS = (("hatl", "--c", "1/8", "--k", "4"), ("scan", "--k-max", "3"))
 
-    def reports():
+    def reports(self, capsys, an2):
         out = []
-        for argv in argvs:
-            code, text, err = run(capsys, *argv)
-            assert code == 0 and err == "", (argv, err)
+        for command, *rest in self.ARGVS:
+            code, text, err = run(capsys, command, "--model", an2, *rest)
+            assert code == 0 and err == "", (command, err)
             report = json.loads(text)
             del report["timing_ms"]
             out.append(report)
         return out
 
-    clean = reports()
-    (workdir / "hatvol.toml").write_text("budget_n2 = 3\ntol = 1e-7\ngrid_depth = 8\n")
-    monkeypatch.setenv("HATVOL_BUDGET_N2", "3")
-    assert reports() == clean
-    code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "13")
-    assert code == 3 and out == ""
-    assert json.loads(err)["budget"] == monomials.ENUM_BUDGETS[2] == 12
+    def assert_budget_is_fixed(self, capsys, an2):
+        code, out, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "13")
+        assert code == 3 and out == ""
+        assert json.loads(err)["budget"] == monomials.ENUM_BUDGETS[2] == 12
+
+    def test_config_file_applies(self, capsys, workdir, an2):
+        clean = self.reports(capsys, an2)
+        (workdir / "hatvol.toml").write_text("budget_n2 = 3\n# comment\ngrid_depth = 8\n")
+        assert self.reports(capsys, an2) == clean
+        self.assert_budget_is_fixed(capsys, an2)
+
+    def test_env_beats_file(self, capsys, workdir, monkeypatch, an2):
+        clean = self.reports(capsys, an2)
+        (workdir / "hatvol.toml").write_text("budget_n2 = 3\n")
+        monkeypatch.setenv("HATVOL_BUDGET_N2", "4")
+        assert self.reports(capsys, an2) == clean
+        code, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "5")
+        assert code == 0 and result_of(out)["k"] == 5
+        self.assert_budget_is_fixed(capsys, an2)
+
+    def test_tolerance_is_no_setting(self, capsys, workdir, an2):
+        # hvol states one fixed tolerance, and a stale tol line in
+        # ./hatvol.toml no longer makes hatl exit 2
+        clean = self.reports(capsys, an2)
+        (workdir / "hatvol.toml").write_text("tol = 1e-7\n")
+        assert self.reports(capsys, an2) == clean
+        model = write(workdir / "a1.json", {"type": "toric", "rays": [[0, 1], [2, -1]]})
+        code, out, err = run(capsys, "hvol", "--model", model)
+        assert code == 0 and err == ""
+        assert result_of(out)["tolerance"] == invariants.TOLERANCE == 1e-9
 
 
 class TestCommandOptions:
