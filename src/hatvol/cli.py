@@ -64,11 +64,10 @@ def _load_ideal(path):
 
 def _load_body(path):
     data = _load_json(path, "body")
-    try:
-        vertices = [[parse_rational(x) for x in v] for v in data["vertices"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("invalid-body-json", "body document needs a 'vertices' list") from exc
-    return geometry.convex_hull(vertices)
+    vertices = data.get("vertices") if isinstance(data, dict) else None
+    if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
+        raise ValidationError("invalid-body-json", "body document needs a 'vertices' list of lists")
+    return geometry.convex_hull([[parse_rational(x) for x in v] for v in vertices])
 
 
 def _parse_k_range(text):

@@ -24,11 +24,10 @@ ideal. A point set of lower affine dimension is flattened by a
 coordinate chart, the pivot columns of the row echelon form of its
 differences, onto which it projects one-to-one and in sorted order, so
 degenerate hulls and lower-dimensional cones keep their indices. A
-cone's dual is read off its own double description. Integer input stays
-in integers: hulls up to their final right-hand sides, cones, polyhedra,
-the kernel, fans and covolumes, and membership tests of int points.
-Rational vertices, volumes, barycenters and the counting and Riemann-sum
-probes run over `fractions.Fraction`; no floating point enters here.
+cone's dual is read off its own double description. Convex bodies run
+in integers too: a `ConvexBody` holds its vertices and right-hand sides
+as ints over one common denominator and builds a `fractions.Fraction`
+only for a value it returns. No floating point enters here.
 """
 
 import itertools
@@ -48,10 +47,6 @@ MAX_DIM = 4
 MAX_LATTICE_CELLS = 10**6
 
 
-def _as_point(p):
-    return tuple(Fraction(x) for x in p)
-
-
 def _check_dim(dim):
     """Refuse an ambient dimension above MAX_DIM."""
     if dim > MAX_DIM:
@@ -63,41 +58,48 @@ def _check_dim(dim):
 
 
 class ConvexBody:
-    """A bounded convex polytope with exact rational vertices.
+    """A bounded convex polytope with exact rational vertices, in ints.
 
     Instances are produced by :func:`convex_hull` and are immutable.
-    ``facets`` is the irredundant system of inequalities <a, x> <= b with
-    primitive integer normals; for a body of lower affine dimension the
-    system is complemented by ``equations`` cutting out the affine hull.
-    ``_incidence`` holds, for each facet, the bitmask of the vertices on
-    it (bit i for ``vertices[i]``).
+    ``_points`` are the sorted vertices times a positive common
+    denominator ``_den``, as int tuples; the `Fraction` ``vertices`` are
+    built when first read. ``facets`` is the irredundant system of
+    inequalities <a, x> <= b with primitive integer normals; for a body
+    of lower affine dimension the system is complemented by
+    ``equations`` cutting out the affine hull. Both are stored with den b
+    as an int. ``_incidence`` holds, for each facet, the bitmask of the
+    vertices on it (bit i for ``vertices[i]``).
     """
 
-    __slots__ = ("dim", "vertices", "_facets", "_equations", "_affine_dim", "_incidence")
+    __slots__ = ("dim", "affine_dim", "_points", "_den", "_vertices", "_facets", "_equations", "_incidence")
 
-    def __init__(self, dim, vertices, facets, equations, affine_dim, incidence):
+    def __init__(self, dim, affine_dim, points, den, facets, equations, incidence):
         self.dim = dim
-        self.vertices = vertices
+        self.affine_dim = affine_dim
+        self._points = points
+        self._den = den
+        self._vertices = None
         self._facets = facets
         self._equations = equations
-        self._affine_dim = affine_dim
         self._incidence = incidence
 
     @property
-    def affine_dim(self):
-        return self._affine_dim
+    def vertices(self):
+        if self._vertices is None:
+            self._vertices = tuple(tuple(Fraction(x, self._den) for x in p) for p in self._points)
+        return self._vertices
 
     @property
     def is_full_dimensional(self):
-        return self._affine_dim == self.dim
+        return self.affine_dim == self.dim
 
     @property
     def facets(self):
-        return self._facets
+        return tuple((a, Fraction(b, self._den)) for a, b in self._facets)
 
     @property
     def equations(self):
-        return self._equations
+        return tuple((a, Fraction(b, self._den)) for a, b in self._equations)
 
     def __eq__(self, other):
         return (
@@ -110,38 +112,34 @@ class ConvexBody:
         return hash((self.dim, self.vertices))
 
     def __repr__(self):
-        return f"ConvexBody(dim={self.dim}, vertices={len(self.vertices)}, affine_dim={self._affine_dim})"
+        return f"ConvexBody(dim={self.dim}, vertices={len(self._points)}, affine_dim={self.affine_dim})"
 
     def contains(self, point, strict=False):
-        """Exact membership test; ``strict`` tests the interior. A point of
-        ints is tested as it is, with no conversion to `Fraction`."""
-        p = tuple(point) if all(type(x) is int for x in point) else _as_point(point)
-        if len(p) != self.dim:
+        """Exact membership test; ``strict`` tests the interior. The point
+        is cleared to ints x / q, and <a, x / q> <= b / den tested in ints."""
+        x, q = linalg._scaled(point)
+        if len(x) != self.dim:
             raise ValidationError("dimension-mismatch", "point dimension differs from body dimension")
+        den = self._den
         for normal, rhs in self._equations:
-            if linalg.dot(normal, p) != rhs:
+            if den * linalg.dot(normal, x) != q * rhs:
                 return False
         if strict and self._equations:
             return False
         for normal, rhs in self._facets:
-            value = linalg.dot(normal, p)
-            if value > rhs or (strict and value == rhs):
+            value, bound = den * linalg.dot(normal, x), q * rhs
+            if value > bound or (strict and value == bound):
                 return False
         return True
-
-    def coordinate_range(self, axis):
-        """Exact [min, max] of the given coordinate over the body."""
-        values = [v[axis] for v in self.vertices]
-        return min(values), max(values)
 
     def triangulation(self):
         """The simplices of the body as index tuples into ``vertices``:
         ``[(0,)]`` for a point, otherwise the fan `_fan` over the vertex
         sets of the body's own facets in its affine dimension. Only
         vertices are used, and no face is hulled again."""
-        if self._affine_dim == 0:
+        if self.affine_dim == 0:
             return [(0,)]
-        return _fan(self.vertices, self._incidence, self._affine_dim)
+        return _fan(self._points, self._incidence, self.affine_dim)
 
     def volume(self):
         return volume(self)
@@ -150,13 +148,13 @@ class ConvexBody:
         """Exact barycenter (uniform mass), over the same fan as volume."""
         if not self.is_full_dimensional:
             raise ValidationError("degenerate-body", "barycenter implemented for full-dimensional bodies")
-        total = Fraction(0)
-        weighted = [Fraction(0)] * self.dim
+        total = 0
+        weighted = [0] * self.dim
         for simplex, det in _simplices(self):
             total += det
             for i in range(self.dim):
                 weighted[i] += det * sum(p[i] for p in simplex)
-        return tuple(w / (total * (self.dim + 1)) for w in weighted)
+        return tuple(Fraction(w, total * (self.dim + 1) * self._den) for w in weighted)
 
     def lattice_points(self, k):
         return lattice_points(self, k)
@@ -165,31 +163,35 @@ class ConvexBody:
 def convex_hull(points):
     """Convex hull of exact rational points as a :class:`ConvexBody`.
 
-    The points are cleared to one common denominator and hulled as
-    integer points by :func:`_int_hull`, whose facets come from
-    `Polyhedron.facets`; each right-hand side becomes a `Fraction` once,
-    at the end. The vertex set is minimal and sorted, and
-    `ConvexBody.triangulation` indexes into it. Lower-dimensional inputs
-    are supported: the body is flagged not full-dimensional, its facets
-    are those of the hull in chart coordinates, zero-padded to the
+    The points are cleared to one common denominator (none for ints) and
+    hulled by :func:`_int_body`. The vertex set is minimal and sorted,
+    and `ConvexBody.triangulation` indexes into it. Lower-dimensional
+    inputs are supported: the body is flagged not full-dimensional, its
+    facets are those of the hull in chart coordinates, zero-padded to the
     ambient dimension, and explicit equations cut out the affine hull.
     """
+    points = list(points)
     if not points:
         raise ValidationError("empty-input", "convex hull of an empty point set")
-    pts = sorted(set(_as_point(p) for p in points))
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    dim = len(points[0])
+    if any(len(p) != dim for p in points):
         raise ValidationError("dimension-mismatch", "points of mixed dimension")
+    flat, den = linalg._scaled([x for p in points for x in p])
+    return _int_body([tuple(flat[i * dim : (i + 1) * dim]) for i in range(len(points))], den)
+
+
+def _int_body(points, den):
+    """The hull of the points p / den, for int points p and a positive int
+    den, by :func:`_int_hull`, with the vertices and right-hand sides kept
+    as ints over den."""
+    pts = sorted(set(map(tuple, points)))
+    dim = len(pts[0])
     _check_dim(dim)
     if dim < 1:
         raise ValidationError("unsupported-dimension", "dimension must be at least 1")
-    # a positive common scale keeps the points sorted and distinct
-    den = math.lcm(*(x.denominator for p in pts for x in p))
-    ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
-    keep, facets, equations, affine_dim, incidence = _int_hull(ints)
-    facets = tuple((a, Fraction(b, den)) for a, b in facets)
-    equations = tuple((a, Fraction(b, den)) for a, b in equations)
-    return ConvexBody(dim, tuple(pts[i] for i in keep), facets, equations, affine_dim, incidence)
+    keep, facets, equations, affine_dim, incidence = _int_hull(pts)
+    kept = tuple(pts[i] for i in keep)
+    return ConvexBody(dim, affine_dim, kept, den, tuple(facets), tuple(equations), incidence)
 
 
 def _int_hull(points):
@@ -312,20 +314,20 @@ def _members(mask):
 
 def _simplices(body):
     """Each simplex of the fan of a full-dimensional body over the vertex
-    sets of its own facets, as its corners, with |det| of its edges (dim!
-    times its volume)."""
-    vertices = body.vertices
+    sets of its own facets, as its int corners (den times the vertices),
+    with the int |det| of its edges (dim! den^dim times its volume)."""
+    points = body._points
     for idx in body.triangulation():
-        simplex = [vertices[i] for i in idx]
+        simplex = [points[i] for i in idx]
         apex = simplex[0]
-        yield simplex, abs(linalg.det([[x - y for x, y in zip(p, apex)] for p in simplex[1:]]))
+        yield simplex, abs(linalg._det([[x - y for x, y in zip(p, apex)] for p in simplex[1:]]))
 
 
 def volume(body):
     """Exact Euclidean volume; zero (degenerate) for lower-dimensional bodies."""
     if not body.is_full_dimensional:
         return Fraction(0)
-    return sum(det for _, det in _simplices(body)) / math.factorial(body.dim)
+    return Fraction(sum(det for _, det in _simplices(body)), math.factorial(body.dim) * body._den**body.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +340,7 @@ def _int_ceil(num, den):
 
 def _dilated_bounds(body, k):
     """The integer range of each coordinate over the dilate k * body."""
-    bounds = []
-    for axis in range(body.dim):
-        lo, hi = body.coordinate_range(axis)
-        bounds.append((math.ceil(k * lo), math.floor(k * hi)))
-    return bounds
+    return [(_int_ceil(k * min(c), body._den), k * max(c) // body._den) for c in zip(*body._points)]
 
 
 def _prefix_cells(bounds):
@@ -363,16 +361,16 @@ def lattice_points(body, k):
 
     Iterates the integer bounding box of the first dim - 1 coordinates
     and resolves the last coordinate as an exact interval read off the
-    facet system, after clearing all denominators.
+    integer facet system.
     """
     if k < 1:
         raise ValidationError("invalid-dilation", "dilation factor must be a positive integer")
     dim = body.dim
-    # integral forms den * <a, u> <= k * num; an equation is two of them
-    rows = list(body.facets)
-    for normal, rhs in body.equations:
+    # integral forms den * <a, u> <= k * b; an equation is two of them
+    rows = list(body._facets)
+    for normal, rhs in body._equations:
         rows += [(normal, rhs), (tuple(-a for a in normal), -rhs)]
-    ineqs = [(tuple(rhs.denominator * a for a in normal), k * rhs.numerator) for normal, rhs in rows]
+    ineqs = [(tuple(body._den * a for a in normal), k * rhs) for normal, rhs in rows]
     bounds = _dilated_bounds(body, k)
     prefix_ranges = [range(lo, hi + 1) for lo, hi in bounds[:-1]]
     _check_cells(_prefix_cells(bounds), "a dilated box")
@@ -558,11 +556,11 @@ class Cone:
         return dual
 
     def contains(self, point, strict=False):
-        p = _as_point(point)
         if not self._full:
             raise ValidationError("invalid-cone", "membership test requires a full-dimensional cone")
+        x = linalg._scaled(point)[0]  # a positive multiple of the point
         for normal in self._dual_rays:
-            value = linalg.dot(normal, p)
+            value = linalg.dot(normal, x)
             if value < 0 or (strict and value == 0):
                 return False
         return True
@@ -743,8 +741,8 @@ class Polyhedron:
         return total
 
     def contains(self, point):
-        p = _as_point(point)
-        return all(linalg.dot(n, p) >= c for n, c in self.facets)
+        x, q = linalg._scaled(point)
+        return all(linalg.dot(n, x) >= c * q for n, c in self.facets)
 
     def __repr__(self):
         return f"Polyhedron(dim={self.dim}, points={len(self.points)}, rays={len(self.rays)})"

@@ -174,12 +174,17 @@ def valuation_volume(model, valuation):
 
 
 def truncated_dual_body(model, xi):
-    """The dual cone cut at {u : <xi, u> <= 1}, as a convex body."""
-    points = [tuple(Fraction(0) for _ in range(model.n))]
-    for ray in model.dual_cone.rays:
-        level = linalg.dot(xi, ray)
-        points.append(tuple(Fraction(x) / level for x in ray))
-    return geometry.convex_hull(points)
+    """The dual cone cut at {u : <xi, u> <= 1}, hulled in ints: 0 and the
+    points d / <xi, d> over the dual rays d, which for xi = x / s and L
+    the lcm of the <x, d> are s d (L / <x, d>) / L. The hull runs its own
+    double description and fan, so the exact upgrade of toric `hvol` holds
+    its slice triangulation to an independent volume."""
+    x, s = linalg._scaled(xi)
+    rays = model.dual_cone.rays
+    levels = [linalg.dot(x, d) for d in rays]
+    top = math.lcm(*levels)
+    points = [(0,) * model.n] + [tuple(s * (top // level) * y for y in d) for d, level in zip(rays, levels)]
+    return geometry._int_body(points, top)
 
 
 def normalized_volume_of_valuation(model, valuation):
@@ -213,8 +218,7 @@ def anticanonical_polytope(fano):
     model's own polytope when r is 1."""
     if fano.r == 1:
         return fano.polytope
-    scaled = [tuple(Fraction(x, fano.r) for x in v) for v in fano.polytope.vertices]
-    return geometry.convex_hull(scaled)
+    return geometry._int_body([tuple(int(x) for x in v) for v in fano.polytope.vertices], fano.r)
 
 
 def toric_kss_oracle(polytope):
@@ -229,8 +233,7 @@ def toric_kss_oracle(polytope):
     if not polytope.is_full_dimensional:
         raise ValidationError("degenerate-body", "anticanonical polytope must be full-dimensional")
     interior = []
-    box = [polytope.coordinate_range(axis) for axis in range(polytope.dim)]
-    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
+    ranges = [range(lo, hi + 1) for lo, hi in geometry._dilated_bounds(polytope, 1)]
     geometry._check_cells(math.prod(len(r) for r in ranges), "an interior-point box")
     for u in itertools.product(*ranges):
         if polytope.contains(u, strict=True):

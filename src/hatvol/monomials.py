@@ -184,10 +184,10 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, data):
-        try:
-            return cls(data["n"], data["gens"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError("invalid-ideal-json", f"malformed ideal document: {exc}") from exc
+        gens = data.get("gens") if isinstance(data, dict) else None
+        if not isinstance(gens, list) or "n" not in data or not all(isinstance(g, list) for g in gens):
+            raise ValidationError("invalid-ideal-json", "ideal document needs 'n' and a 'gens' list of lists")
+        return cls(data["n"], gens)
 
     # -- invariants ---------------------------------------------------
 

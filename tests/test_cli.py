@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +14,7 @@ from hatvol import acceptance
 from hatvol import cli
 from hatvol import geometry
 from hatvol import invariants
+from hatvol import models
 from hatvol import monomials
 from hatvol.cli import build_parser, main
 from hatvol.errors import InvariantViolationError
@@ -237,6 +239,25 @@ class TestErrorPaths:
         assert code == 4 and out == ""
         assert json.loads(err)["error"] == "empty-exact-scan"
 
+    def test_hull_volume_off_by_a_thousandth_is_an_invariant_violation(self, capsys, monkeypatch, workdir):
+        # the exact upgrade holds the integer certificate to the volume of
+        # the truncated dual body, hulled on its own: scale that body by
+        # 1 + 1/1000 and the P2 cone must fail the cross-check, not report 9
+        exact = models.truncated_dual_body
+
+        def scaled(model, xi):
+            body = exact(model, xi)
+            return geometry.convex_hull([tuple(x * Fraction(1001, 1000) for x in v) for v in body.vertices])
+
+        monkeypatch.setattr(models, "truncated_dual_body", scaled)
+        p2 = {"type": "fano_cone", "polytope": [[-1, -1], [2, -1], [-1, 2]], "r": 1}
+        with pytest.raises(InvariantViolationError) as caught:
+            invariants.hvol(models.load_model(p2))
+        assert caught.value.code == "volume-path-disagreement"
+        code, out, err = run(capsys, "hvol", "--model", write(workdir / "p2.json", p2))
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "volume-path-disagreement"
+
     def test_budget_exceeded(self, capsys, an2):
         code, _, err = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "20")
         assert code == 3
@@ -331,6 +352,21 @@ class TestErrorPaths:
     def test_malformed_model_rejected(self, capsys, workdir, doc, error):
         path = write(workdir / "model.json", doc)
         code, out, err = run(capsys, "hvol", "--model", path)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv,doc,error",
+        [
+            (["lattice", "--k-range", "1:2", "--body"], {"vertices": "03"}, "invalid-body-json"),
+            (["lattice", "--k-range", "1:2", "--body"], {"vertices": ["00", "20", "02"]}, "invalid-body-json"),
+            (["colength", "--ideal"], {"n": 1, "gens": ["3"]}, "invalid-ideal-json"),
+        ],
+    )
+    def test_string_where_a_point_is_expected_rejected(self, capsys, workdir, argv, doc, error):
+        # iterated one character at a time, "03" would be the segment [0, 3]
+        path = write(workdir / "input.json", doc)
+        code, out, err = run(capsys, *argv, path)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == error
 

@@ -867,6 +867,116 @@ class TestIntegerPoints:
                     assert body.contains(u, strict=strict) == body.contains(tuple(map(F, u)), strict=strict)
 
 
+# The Fraction-coordinate body the integer-backed ConvexBody replaced:
+# vertices are the Fraction input points, right-hand sides b / den over
+# the lcm den of every input denominator, and the fan, simplices, volume,
+# barycenter and membership run over Fraction vertices.
+
+
+def _fraction_hull(points):
+    """(vertices, facets, equations, affine dimension, incidence) of the
+    Fraction-coordinate `convex_hull`."""
+    pts = sorted(set(tuple(F(x) for x in p) for p in points))
+    den = math.lcm(*(x.denominator for p in pts for x in p))
+    ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+    keep, facets, equations, affine_dim, incidence = G._int_hull(ints)
+    return (
+        tuple(pts[i] for i in keep),
+        tuple((a, F(b, den)) for a, b in facets),
+        tuple((a, F(b, den)) for a, b in equations),
+        affine_dim,
+        incidence,
+    )
+
+
+def _fraction_triangulation(vertices, affine_dim, incidence):
+    return [(0,)] if affine_dim == 0 else G._fan(vertices, incidence, affine_dim)
+
+
+def _fraction_simplices(vertices, triangulation):
+    for idx in triangulation:
+        simplex = [vertices[i] for i in idx]
+        apex = simplex[0]
+        yield simplex, abs(linalg.det([[x - y for x, y in zip(p, apex)] for p in simplex[1:]]))
+
+
+def _fraction_volume(vertices, triangulation):
+    dim = len(vertices[0])
+    return sum(det for _, det in _fraction_simplices(vertices, triangulation)) / math.factorial(dim)
+
+
+def _fraction_barycenter(vertices, triangulation):
+    dim = len(vertices[0])
+    total = F(0)
+    weighted = [F(0)] * dim
+    for simplex, det in _fraction_simplices(vertices, triangulation):
+        total += det
+        for i in range(dim):
+            weighted[i] += det * sum(p[i] for p in simplex)
+    return tuple(w / (total * (dim + 1)) for w in weighted)
+
+
+def _fraction_contains(facets, equations, point, strict):
+    p = tuple(F(x) for x in point)
+    if any(linalg.dot(a, p) != b for a, b in equations):
+        return False
+    if strict and equations:
+        return False
+    return all(linalg.dot(a, p) < b or (not strict and linalg.dot(a, p) == b) for a, b in facets)
+
+
+def _seeded_rational_point_sets(seed, count):
+    """Points with mixed denominators in dimension d <= 4 on an affine
+    subspace of dimension r <= d, so degenerate sets occur: a base point,
+    its sums with r random directions and a few random combinations.
+    Each comes with probe points for membership: rational and int ones,
+    the mean of the points and the midpoints of the first with each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        r = rng.randint(0, d)
+
+        def rational():
+            return F(rng.randint(-8, 8), rng.randint(1, 6))
+
+        base = tuple(rational() for _ in range(d))
+        directions = [tuple(rational() for _ in range(d)) for _ in range(r)]
+        combos = [tuple(int(i == j) for i in range(r)) for j in range(-1, r)]
+        combos += [tuple(F(rng.randint(0, 4), 4) for _ in range(r)) for _ in range(rng.randint(0, 3))]
+        points = [tuple(b + sum(c * v[i] for c, v in zip(cs, directions)) for i, b in enumerate(base)) for cs in combos]
+        probes = [tuple(rational() for _ in range(d)) for _ in range(3)]
+        probes += [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(3)]
+        probes.append(tuple(sum(c) / len(points) for c in zip(*points)))
+        probes += [tuple((x + y) / 2 for x, y in zip(points[0], p)) for p in points]
+        yield points, probes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_body_matches_the_fraction_reference(seed):
+    for points, probes in _seeded_rational_point_sets(seed, 125):
+        _check_against_the_fraction_reference(points, probes)
+
+
+def _check_against_the_fraction_reference(points, probes):
+    body = G.convex_hull(points)
+    vertices, facets, equations, affine_dim, incidence = _fraction_hull(points)
+    assert body.vertices == vertices
+    assert body.facets == facets and body.equations == equations
+    assert body.affine_dim == affine_dim
+    triangulation = _fraction_triangulation(vertices, affine_dim, incidence)
+    assert body.triangulation() == triangulation
+    if body.is_full_dimensional:
+        assert body.volume() == _fraction_volume(vertices, triangulation)
+        assert body.barycenter() == _fraction_barycenter(vertices, triangulation)
+    else:
+        assert body.volume() == 0
+    for p in probes + list(vertices):
+        for strict in (False, True):
+            assert body.contains(p, strict=strict) == _fraction_contains(facets, equations, p, strict)
+    # the same body from its vertices alone, over another denominator
+    assert G.convex_hull(vertices) == body and hash(G.convex_hull(vertices)) == hash(body)
+
+
 def _cofactor_det(rows):
     """Reference determinant by cofactor expansion along the first row."""
     if not rows:

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from hatvol import geometry as G
+from hatvol import linalg
 from hatvol import models as MD
 from hatvol.errors import ValidationError
 
@@ -102,6 +104,57 @@ class TestValuationVolume:
         colength = M.valuation_ideal(xi.weights, k).colength()
         assert abs(F(2 * colength, k * k) / vol - 1) < F(1, 10)
 
+
+def _fraction_truncated_dual_body(model, xi):
+    """The Fraction-coordinate truncated dual body the integer one
+    replaced: the hull of the origin and the points d / <xi, d>."""
+    points = [tuple(F(0) for _ in range(model.n))]
+    for ray in model.dual_cone.rays:
+        level = linalg.dot(xi, ray)
+        points.append(tuple(F(x) / level for x in ray))
+    return G.convex_hull(points)
+
+
+def _seeded_cones_and_weights(seed, count):
+    """Q-Gorenstein cones over random lattice polytopes of dimension 1-3,
+    moved by a random unimodular map, each with a rational interior
+    point: a combination of the rays with positive coefficients of
+    unequal denominators."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        base = [tuple(rng.randint(-2, 2) for _ in range(n - 1)) for _ in range(rng.randint(n, n + 3))]
+        if linalg.rank([[x - y for x, y in zip(p, base[0])] for p in base[1:]]) < n - 1:
+            continue
+        rays = [p + (1,) for p in base]
+        # a signed permutation times a shear keeps the lattice
+        perm = rng.sample(range(n), n)
+        shear = [[int(i == j) for j in range(n)] for i in range(n)]
+        shear[0][n - 1] = rng.randint(-3, 3)
+        signs = [rng.choice((-1, 1)) for _ in range(n)]
+        rays = [tuple(signs[i] * linalg.dot(shear[perm[i]], r) for i in range(n)) for r in rays]
+        model = MD.ToricSingularity(G.Cone(rays))
+        coeffs = [F(rng.randint(1, 9), rng.randint(1, 7)) for _ in model.cone.rays]
+        xi = tuple(sum(c * r[i] for c, r in zip(coeffs, model.cone.rays)) for i in range(n))
+        out.append((model, xi))
+    return out
+
+
+class TestIntegerTruncatedBody:
+    def test_matches_the_fraction_reference(self):
+        negative = unequal = 0
+        for model, xi in _seeded_cones_and_weights(37, 120):
+            assert model.is_interior(xi)
+            body = MD.truncated_dual_body(model, xi)
+            reference = _fraction_truncated_dual_body(model, xi)
+            assert body.vertices == reference.vertices
+            assert body.facets == reference.facets and body.equations == reference.equations
+            assert body.volume() == reference.volume()
+            assert MD.valuation_volume(model, MD.WeightValuation(xi)) == math.factorial(model.n) * reference.volume()
+            negative += any(x < 0 for x in xi)
+            unequal += len({x.denominator for x in xi}) > 1
+        assert negative >= 60 and unequal >= 60
 
 class TestConeConstruction:
     def test_line_gives_a1(self):
