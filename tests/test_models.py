@@ -156,6 +156,7 @@ class TestIntegerTruncatedBody:
             unequal += len({x.denominator for x in xi}) > 1
         assert negative >= 60 and unequal >= 60
 
+
 class TestConeConstruction:
     def test_line_gives_a1(self):
         toric = MD.cone_construction(fano([(0,), (2,)]))
