@@ -127,22 +127,6 @@ def random_ideals_2d(count, rng, max_pure=7, extra=2):
     return out
 
 
-def random_unimodular(dim, rng, entry_bound=3, steps=6):
-    """A random unimodular integer matrix built from shears and swaps."""
-    mat = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for _ in range(steps):
-        i, j = rng.sample(range(dim), 2)
-        c = rng.randint(-entry_bound, entry_bound)
-        for col in range(dim):
-            mat[i][col] += c * mat[j][col]
-        if rng.random() < 0.3:
-            mat[i], mat[j] = mat[j], mat[i]
-        if all(abs(x) <= entry_bound for row in mat for x in row):
-            continue
-        mat = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -290,18 +274,18 @@ def criterion_lattice_counting(fast=False):
 
 def criterion_kss_cone(fast=False):
     """Equality at semistable cones, strict deficit at the unstable one."""
-    tol = 1e-6
+    tol = invariants.KSS_TOLERANCE
     p1 = FanoConeInput(geometry.convex_hull([(0,), (2,)]), 1)
-    verdict = invariants.kss_via_cone(p1, tolerance=tol)
+    verdict = invariants.kss_via_cone(p1)
     if not (verdict.verdict == "K-SEMISTABLE" and verdict.hvol_result.exact and verdict.hvol_result.value == 2):
         return False, f"line cone gave {verdict.hvol_result.value}", "== 2 exact", ""
     p2 = FanoConeInput(geometry.convex_hull([(0, 0), (3, 0), (0, 3)]), 1)
-    verdict = invariants.kss_via_cone(p2, tolerance=tol)
+    verdict = invariants.kss_via_cone(p2)
     off = abs(float(verdict.hvol_result.value) - 9.0)
     if not (verdict.verdict == "K-SEMISTABLE" and verdict.oracle is True and off <= tol * 9):
         return False, f"plane cone off by {off:.2e}", f"within {tol} of 9", ""
     p112 = FanoConeInput(geometry.convex_hull([(-1, -1), (-1, 1), (3, -1)]), 1)
-    verdict = invariants.kss_via_cone(p112, tolerance=tol)
+    verdict = invariants.kss_via_cone(p112)
     margin = float(verdict.margin) / float(verdict.bound)
     if not (verdict.verdict == "UNSTABLE" and verdict.oracle is False and margin > 1e-3):
         return False, f"unstable cone margin {margin:.2e}", "> 1e-3 relative", ""

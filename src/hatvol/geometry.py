@@ -23,8 +23,9 @@ simplices; over the orthant that is the multiplicity of a monomial
 ideal. A point set of lower affine dimension is flattened by a
 coordinate chart, the pivot columns of the row echelon form of its
 differences, onto which it projects one-to-one and in sorted order, so
-degenerate hulls and lower-dimensional cones keep their indices. A
-cone's dual is read off its own double description. Convex bodies run
+degenerate hulls keep their indices. A `Cone` is pointed and
+full-dimensional, as the cone of a toric singularity is, and its dual is
+read off its own double description. Convex bodies run
 in integers too: a `ConvexBody` holds its vertices and right-hand sides
 as ints over one common denominator and builds a `fractions.Fraction`
 only for a value it returns. No floating point enters here.
@@ -156,9 +157,6 @@ class ConvexBody:
                 weighted[i] += det * sum(p[i] for p in simplex)
         return tuple(Fraction(w, total * (self.dim + 1) * self._den) for w in weighted)
 
-    def lattice_points(self, k):
-        return lattice_points(self, k)
-
 
 def convex_hull(points):
     """Convex hull of exact rational points as a :class:`ConvexBody`.
@@ -209,7 +207,10 @@ def _int_hull(points):
     dim = len(points[0])
     base = points[0]
     diffs = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]]
-    chart = _chart(diffs)
+    # projecting onto the pivot columns of the row echelon form of the
+    # differences is one-to-one on the affine hull of the points, so facets,
+    # vertices and triangulations of the projected points are theirs
+    chart = linalg._pivot_columns(diffs)
     affine_dim = len(chart)
     if affine_dim == dim:
         hull = Polyhedron(points, ())
@@ -222,25 +223,13 @@ def _int_hull(points):
     equations = sorted((a, linalg.dot(a, base)) for a in normals)
     if affine_dim == 0:
         return [0], [], equations, 0, ()
-    keep, sub_facets, _, _, incidence = _int_hull([_project(p, chart) for p in points])
+    keep, sub_facets, _, _, incidence = _int_hull([tuple(p[c] for c in chart) for p in points])
     facets = []
     for normal, rhs in sub_facets:
         # zero-padded, a primitive chart normal stays primitive
         lift = dict(zip(chart, normal))
         facets.append((tuple(lift.get(i, 0) for i in range(dim)), rhs))
     return keep, facets, equations, affine_dim, incidence
-
-
-def _chart(diffs):
-    """The pivot columns of the row echelon form of ``diffs``: projecting
-    onto these coordinates is one-to-one on the affine hull of points
-    whose differences are ``diffs``, so facets, vertices and
-    triangulations of the projected points are those of the points."""
-    return linalg._pivot_columns(diffs)
-
-
-def _project(point, chart):
-    return tuple(point[c] for c in chart)
 
 
 def _vertices(facets, count):
@@ -490,14 +479,15 @@ def monotone_riemann_gap(samples, a, b, k, integral):
 
 
 class Cone:
-    """A rational polyhedral cone given by primitive generator rays.
+    """A pointed full-dimensional rational polyhedral cone, the cone of a
+    toric singularity, given by generator rays.
 
-    On construction the rays are normalized to primitive vectors and,
-    for pointed full-dimensional cones, reduced to the extreme ones so
-    that representations are unique.
+    On construction the rays are normalized to primitive vectors and
+    reduced to the extreme ones, so that representations are unique. Any
+    other cone is refused as `invalid-cone`.
     """
 
-    __slots__ = ("dim", "rays", "_dual_rays", "_pointed", "_full")
+    __slots__ = ("dim", "rays", "_dual_rays")
 
     def __init__(self, rays):
         rays = list(rays)
@@ -513,30 +503,16 @@ class Cone:
                 raise ValidationError("invalid-cone", "zero vector is not a ray")
             prim.append(linalg.primitive(r))
         prim = sorted(set(prim))
+        # the facet normals of a full-dimensional cone; it is pointed when
+        # their sum pairs positively with every ray
+        dual = _extreme_rays(prim, dim) if linalg.rank(prim) == dim else []
+        normals = [w for w, _ in dual]
+        interior = [sum(col) for col in zip(*normals)]
+        if not normals or any(linalg.dot(interior, r) <= 0 for r in prim):
+            raise ValidationError("invalid-cone", "toric singularities need a pointed full-dimensional cone")
         self.dim = dim
-        self._full = linalg.rank(prim) == dim
-        self._dual_rays = None
-        self._pointed = None
-        if self._full:
-            dual = _extreme_rays(prim, dim)
-            self._dual_rays = [w for w, _ in dual]
-            interior = tuple(sum(col) for col in zip(*self._dual_rays)) if dual else None
-            self._pointed = bool(dual) and all(linalg.dot(interior, r) > 0 for r in prim)
-            if self._pointed:
-                prim = [prim[i] for i in _vertices([zeros for _, zeros in dual], len(prim))]
-        self.rays = tuple(sorted(prim))
-
-    @property
-    def is_full_dimensional(self):
-        return self._full
-
-    @property
-    def is_pointed(self):
-        if self._pointed is not None:
-            return self._pointed
-        # lower-dimensional cone: decide over its rays in chart coordinates
-        chart = _chart(list(self.rays))
-        return Cone([_project(r, chart) for r in self.rays]).is_pointed
+        self._dual_rays = normals
+        self.rays = tuple(prim[i] for i in _vertices([zeros for _, zeros in dual], len(prim)))
 
     def dual(self):
         """The dual cone {u : <u, v> >= 0 for all rays v}; an involution.
@@ -546,24 +522,11 @@ class Cone:
         dual's rays; the dual of a pointed full-dimensional cone is again
         pointed and full-dimensional, and its own facet normals are this
         cone's rays."""
-        if not (self._full and self._pointed):
-            raise ValidationError("invalid-cone", "dual cone requires a pointed full-dimensional cone")
         dual = Cone.__new__(Cone)
         dual.dim = self.dim
         dual.rays = tuple(self._dual_rays)
         dual._dual_rays = list(self.rays)
-        dual._pointed = dual._full = True
         return dual
-
-    def contains(self, point, strict=False):
-        if not self._full:
-            raise ValidationError("invalid-cone", "membership test requires a full-dimensional cone")
-        x = linalg._scaled(point)[0]  # a positive multiple of the point
-        for normal in self._dual_rays:
-            value = linalg.dot(normal, x)
-            if value < 0 or (strict and value == 0):
-                return False
-        return True
 
     def __eq__(self, other):
         return isinstance(other, Cone) and self.rays == other.rays
@@ -739,10 +702,6 @@ class Polyhedron:
                 for simplex in _fan(points, ridges, self.dim - 1):
                     total += abs(linalg._det([points[i] for i in simplex]))
         return total
-
-    def contains(self, point):
-        x, q = linalg._scaled(point)
-        return all(linalg.dot(n, x) >= c * q for n, c in self.facets)
 
     def __repr__(self):
         return f"Polyhedron(dim={self.dim}, points={len(self.points)}, rays={len(self.rays)})"

@@ -782,13 +782,18 @@ class KssVerdict(namedtuple("KssVerdict", "verdict hvol_result bound margin orac
         }
 
 
-def kss_via_cone(fano, tolerance=1e-6):
+# the relative gap between the normalized volume and the degree bound
+# below which kss_via_cone reads them as equal
+KSS_TOLERANCE = 1e-6
+
+
+def kss_via_cone(fano):
     """K-semistability of a polarized toric base through its cone.
 
     Compares the normalized volume of the cone vertex against the
-    degree bound: equality within tolerance means K-SEMISTABLE, a
-    deficit beyond tolerance means UNSTABLE, and an excess beyond
-    tolerance is impossible, so it is raised as an invariant violation.
+    degree bound: equality within KSS_TOLERANCE means K-SEMISTABLE, a
+    deficit beyond it means UNSTABLE, and an excess beyond it is
+    impossible, so it is raised as an invariant violation.
     The barycenter criterion is evaluated independently, and any
     disagreement with the verdict is a hard error.
     """
@@ -798,8 +803,8 @@ def kss_via_cone(fano, tolerance=1e-6):
     # compare in the value's own arithmetic: exact values in Fraction
     b = bound if result.exact else float(bound)
     margin = b - result.value
-    over = margin < -tolerance * b
-    semistable = abs(margin) <= tolerance * b
+    over = margin < -KSS_TOLERANCE * b
+    semistable = abs(margin) <= KSS_TOLERANCE * b
     if over:
         raise InvariantViolationError(
             "kss-bound-violated",
@@ -819,7 +824,7 @@ def kss_via_cone(fano, tolerance=1e-6):
         bound=bound,
         margin=margin,
         oracle=oracle,
-        tolerance=tolerance,
+        tolerance=KSS_TOLERANCE,
     )
 
 

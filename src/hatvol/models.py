@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import geometry, linalg
 from .errors import ValidationError
-from .rationals import format_rational, parse_int, parse_rational
+from .rationals import parse_int, parse_rational
 
 
 class MonomialPair(namedtuple("MonomialPair", "n coeffs")):
@@ -43,9 +43,6 @@ class MonomialPair(namedtuple("MonomialPair", "n coeffs")):
         scale = math.lcm(*(a.denominator for a in self.coeffs))
         return tuple(int((1 - a) * scale) for a in self.coeffs), scale
 
-    def to_json(self):
-        return {"type": "monomial_pair", "n": self.n, "coeffs": [format_rational(a) for a in self.coeffs]}
-
 
 class ToricSingularity:
     """A Q-Gorenstein toric cone with its Gorenstein covector.
@@ -59,8 +56,6 @@ class ToricSingularity:
     def __init__(self, cone):
         if not isinstance(cone, geometry.Cone):
             cone = geometry.Cone(cone)
-        if not (cone.is_full_dimensional and cone.is_pointed):
-            raise ValidationError("invalid-cone", "toric singularities need a pointed full-dimensional cone")
         self.cone = cone
         m = linalg.solve_affine(cone.rays, [1] * len(cone.rays), cone.dim)
         if m is None or any(linalg.dot(m, r) != 1 for r in cone.rays):
@@ -78,9 +73,6 @@ class ToricSingularity:
 
     def is_interior(self, xi):
         return all(linalg.dot(u, xi) > 0 for u in self._dual.rays)
-
-    def to_json(self):
-        return {"type": "toric", "rays": [list(r) for r in self.cone.rays]}
 
     def __repr__(self):
         return f"ToricSingularity(rays={list(self.cone.rays)})"
@@ -108,13 +100,6 @@ class FanoConeInput(namedtuple("FanoConeInput", "polytope r")):
     @property
     def base_dim(self):
         return self.polytope.dim
-
-    def to_json(self):
-        return {
-            "type": "fano_cone",
-            "polytope": [[int(x) for x in v] for v in self.polytope.vertices],
-            "r": self.r,
-        }
 
 
 class WeightValuation(namedtuple("WeightValuation", "weights")):

@@ -1,13 +1,13 @@
 """Monomial ideals in n variables: staircases, Newton polyhedra,
-colengths, multiplicities, powers, integral closures, valuation ideals,
-and exhaustive enumeration of the ideals squeezed between two powers of
-the maximal ideal.
+colengths, multiplicities, powers, valuation ideals, and exhaustive
+enumeration of the ideals squeezed between two powers of the maximal
+ideal.
 
 Every staircase is held by its column heights: for each cell u of the
 first n - 1 exponents, in lexicographic order, h(u) is the number of
-standard monomials (u, z). Colength, staircase, valuation ideals,
-integral closures and the enumeration all fill in heights; one corner
-reader turns heights back into minimal generators.
+standard monomials (u, z). Colength, staircase, valuation ideals and
+the enumeration all fill in heights; one corner reader turns heights
+back into minimal generators.
 """
 
 import itertools
@@ -48,10 +48,6 @@ def _antichain(points):
         if not any(all(map(operator.le, q, p)) for q in out):
             out.append(p)
     return out
-
-
-def _dominates(u, g):
-    return all(u[i] >= g[i] for i in range(len(u)))
 
 
 def _strides(dims):
@@ -161,26 +157,16 @@ class MonomialIdeal:
             out.append(min(degs) if degs else None)
         return tuple(out)
 
-    def contains_exponent(self, u):
-        return any(_dominates(u, g) for g in self.gens)
-
     def __eq__(self, other):
         return isinstance(other, MonomialIdeal) and self.n == other.n and self.gens == other.gens
 
     def __hash__(self):
         return hash((self.n, self.gens))
 
-    def __le__(self, other):
-        """Ideal containment self <= other, i.e. every generator lies in other."""
-        return all(other.contains_exponent(g) for g in self.gens)
-
     def __repr__(self):
         return f"MonomialIdeal(n={self.n}, gens={list(self.gens)})"
 
     # -- serialization ------------------------------------------------
-
-    def to_json(self):
-        return {"n": self.n, "gens": [list(g) for g in self.gens]}
 
     @classmethod
     def from_json(cls, data):
@@ -246,15 +232,12 @@ class MonomialIdeal:
         return MonomialIdeal(self.n, sums)
 
     def newton_polyhedron(self):
-        """conv(generators) + nonnegative orthant, with exact facets."""
-        rays = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
-        return geometry.Polyhedron(self.gens, rays)
-
-    def _newton(self):
-        """The Newton polyhedron, built once per ideal: the Newton facets
-        and the multiplicity read the same facets and incidences."""
+        """conv(generators) + nonnegative orthant, with exact facets, built
+        once per ideal: the Newton facets and the multiplicity read the
+        same facets and incidences."""
         if self._polyhedron is None:
-            self._polyhedron = self.newton_polyhedron()
+            rays = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
+            self._polyhedron = geometry.Polyhedron(self.gens, rays)
         return self._polyhedron
 
     def lower_hull(self):
@@ -289,7 +272,7 @@ class MonomialIdeal:
 
     def _newton_facets(self):
         if self.n != 2:
-            return [(normal, c) for normal, c in self._newton().facets if c > 0]
+            return [(normal, c) for normal, c in self.newton_polyhedron().facets if c > 0]
         hull = self.lower_hull()
         facets = []
         if hull[0][0] > 0:
@@ -323,28 +306,7 @@ class MonomialIdeal:
         if self.n == 2:
             hull = self.lower_hull()
             return Fraction(sum(abs(x0 * y1 - x1 * y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])))
-        return Fraction(self._newton().covolume())
-
-    def integral_closure(self):
-        """Ideal of all lattice points of the Newton polyhedron.
-
-        Every facet <a, u> >= c with c > 0 of an m-primary ideal has a
-        positive normal, so the column over u starts at the least z with
-        <a', u> + a_n z >= c on every facet. Same multiplicity, colength
-        no larger.
-        """
-        if not self.is_primary:
-            raise ValidationError("infinite-covolume", "integral closure implemented for m-primary ideals")
-        facets = self.newton_facets()
-        dims = [d + 1 for d in self.pure_degrees()[:-1]]
-        cells, below = _box(dims)
-        # in integers: ceil(a / b) = -(-a // b) for b > 0
-        heights = [max(0, *(-((linalg.dot(a[:-1], u) - c) // a[-1]) for a, c in facets)) for u in cells]
-        return _with_columns(self.n, dims, cells, below, heights)
-
-
-def maximal_ideal(n):
-    return MonomialIdeal(n, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        return Fraction(self.newton_polyhedron().covolume())
 
 
 def maximal_power(n, k):

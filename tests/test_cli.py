@@ -190,6 +190,19 @@ class TestCommands:
         proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_verify_only_module(self):
+        # acceptance, simplex and random serve `verify` alone; the import
+        # that setup_s and cold_cli_s time must not load them
+        src = os.path.dirname(os.path.dirname(hatvol.__file__))
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import hatvol.cli\n"
+            "print(sorted({'hatvol.acceptance', 'hatvol.simplex', 'random'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
     def test_out_file(self, capsys, an2, workdir):
         target = workdir / "report.json"
         code, out, _ = run(capsys, "hvol", "--model", an2, "--out", str(target))
@@ -424,6 +437,17 @@ class TestErrorPaths:
             code, out, err = run(capsys, command, "--model", model)
             assert code == 2 and out == ""
             assert json.loads(err)["error"] == "not-q-gorenstein"
+
+    @pytest.mark.parametrize("rays,message", [
+        ([[1, 0]], "toric singularities need a pointed full-dimensional cone"),
+        ([[1, 0], [-1, 0], [0, 1]], "toric singularities need a pointed full-dimensional cone"),
+        ([[1, 0], [0, 0]], "zero vector is not a ray"),
+    ], ids=["lower-dimensional", "not-pointed", "zero-ray"])
+    def test_invalid_cone_refused(self, capsys, workdir, rays, message):
+        model = write(workdir / "m.json", {"type": "toric", "rays": rays})
+        code, out, err = run(capsys, "hvol", "--model", model)
+        assert code == 2 and out == ""
+        assert err == json.dumps({"error": "invalid-cone", "message": message}) + "\n"
 
     @pytest.mark.parametrize("epsilon", [("--epsilon", "-1"), ("--epsilon=-1/20",), ("--epsilon", "-1/20")])
     def test_negative_epsilon_refused(self, capsys, workdir, epsilon):

@@ -10,8 +10,8 @@ from hatvol import linalg
 from hatvol import models as MD
 from hatvol import monomials as M
 from hatvol import simplex
-from hatvol.acceptance import random_unimodular
 from hatvol.errors import InvariantViolationError, NonConvergedError, ValidationError
+from helpers import maximal_ideal, random_unimodular
 
 AN2 = MD.MonomialPair(2, (0, 0))
 AN3 = MD.MonomialPair(3, (0, 0, 0))
@@ -27,7 +27,7 @@ def orthant(n):
 
 class TestLct:
     def test_maximal_ideal(self):
-        result = I.lct(AN2, M.maximal_ideal(2))
+        result = I.lct(AN2, maximal_ideal(2))
         assert result.value == 2
         assert result.minimizing_weight == (F(1), F(1))
 
@@ -43,7 +43,7 @@ class TestLct:
         assert set(result.active_constraints) == {(2, 0), (1, 2), (0, 4)}
 
     def test_maximal_ideal_n3(self):
-        assert I.lct(AN3, M.maximal_ideal(3)).value == 3
+        assert I.lct(AN3, maximal_ideal(3)).value == 3
 
     def test_with_boundary(self):
         pair = MD.MonomialPair(2, (F(1, 2), 0))
@@ -123,7 +123,7 @@ class TestLct:
         pair = MD.MonomialPair(2, (F(1, 2), 0))
         assert I.lct(pair, M.MonomialIdeal(2, [(2, 0), (0, 3)])).value == F(1, 4) + F(1, 3)
         pair = MD.MonomialPair(3, (F(1, 2), 0, F(1, 3)))
-        assert I.lct(pair, M.maximal_ideal(3)).value == F(1, 2) + 1 + F(2, 3)
+        assert I.lct(pair, maximal_ideal(3)).value == F(1, 2) + 1 + F(2, 3)
         value, _ = I.normalized_colength(AN2, F(1, 8), 4)
         assert value == 5
         value, _ = I.normalized_colength(AN3, F(1, 24), 3)
@@ -132,7 +132,7 @@ class TestLct:
 
 class TestNormalizedMultiplicity:
     def test_maximal(self):
-        assert I.normalized_multiplicity(AN2, M.maximal_ideal(2)) == 4
+        assert I.normalized_multiplicity(AN2, maximal_ideal(2)) == 4
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     def test_powers_attain_four(self, k):
