@@ -214,7 +214,7 @@ def criterion_lech(fast=False):
 
 def criterion_colength_convergence(fast=False):
     """Normalized colengths stay above the volume and close in from above."""
-    kmax = 6 if fast else 10
+    kmax = 6 if fast else 12
     model = MonomialPair(2, (0, 0))
     scan = invariants.colength_convergence_scan(model, Fraction(1, 8), range(2, kmax + 1))
     last_k, last_value, _ = scan.rows[-1]
@@ -232,7 +232,7 @@ def criterion_colength_convergence(fast=False):
     if not fast:
         # three-variable enumeration: values stay above 27 and descend
         scan3 = invariants.colength_convergence_scan(
-            MonomialPair(3, (0, 0, 0)), Fraction(1, 24), range(2, 5)
+            MonomialPair(3, (0, 0, 0)), Fraction(1, 24), range(2, 6)
         )
         values3 = [value for _, value, _ in scan3.rows]
         if any(v < 27 for v in values3) or values3 != sorted(values3, reverse=True):

@@ -8,6 +8,8 @@ colength functional with its convergence scans, and the comparison
 probes that the verification suite drives.
 """
 
+import bisect
+import functools
 import itertools
 import math
 import operator
@@ -503,6 +505,101 @@ def _lct_floor(costs, gens):
     return best_p, best_q
 
 
+@functools.cache
+def _compact_normals(n, k):
+    """W(n, k): a superset of the primitive normals of the compact Newton
+    facets of the ideals a with m^k <= a <= m, sorted.
+
+    Such a facet is spanned by n affinely independent minimal generators
+    of a, each of degree at most k, and its normal is positive; n is 2 or
+    3, as in the enumeration. At n = 2 the normal is
+    (y0 - y1, x1 - x0) / gcd for two points of {|u| <= k}: the primitive
+    (p, q) with 1 <= p, q <= k. At n = 3 it is the positive primitive
+    cross product of d = p1 - p0 and e = p2 - p0 for three points of
+    {|u| <= k}, with p0 the lexicographically least, so d and e are
+    lexicographically positive. They may be taken primitive, since
+    p0 + d / gcd(d) lies in the set too and spans the same plane. Such a
+    pair has a base p0 exactly when the least one, max(0, -d, -e), has
+    degree at most k less the degrees of d and e.
+    """
+    if n == 2:
+        return tuple((p, q) for p in range(1, k + 1) for q in range(1, k + 1) if math.gcd(p, q) == 1)
+    differences = []
+    for d in itertools.product(range(-k, k + 1), repeat=3):
+        up = sum(x for x in d if x > 0)
+        if d > (0, 0, 0) and 0 < up - sum(d) <= k and up <= k and math.gcd(*d) == 1:
+            differences.append((d, tuple(max(0, -x) for x in d), sum(d)))
+    found = set()
+    for i, ((d0, d1, d2), (f0, f1, f2), d_sum) in enumerate(differences):
+        for (e0, e1, e2), (g0, g1, g2), e_sum in differences[i + 1 :]:
+            base = (f0 if f0 > g0 else g0) + (f1 if f1 > g1 else g1) + (f2 if f2 > g2 else g2)
+            if base > k or base + d_sum > k or base + e_sum > k:
+                continue
+            w0, w1, w2 = d1 * e2 - d2 * e1, d2 * e0 - d0 * e2, d0 * e1 - d1 * e0
+            if w0 < 0:
+                w0, w1, w2 = -w0, -w1, -w2
+            if w0 > 0 and w1 > 0 and w2 > 0:
+                g = math.gcd(w0, w1, w2)
+                found.add((w0 // g, w1 // g, w2 // g))
+    return tuple(sorted(found))
+
+
+@functools.cache
+def _level_counts(w, k):
+    """(ts, counts): the values t of w on N^n with 0 < t <= k min(w), in
+    increasing order, and for each the lattice count
+    N_w(t) = #{u in N^n : <w, u> < t}. Every ideal a >= m^k has
+    w(a) <= w(x_i^k) = k w_i."""
+    top = k * min(w)
+    values = [0]
+    for wi in w:
+        values = [v + wi * j for v in values for j in range((top - v) // wi + 1)]
+    values.sort()
+    ts, counts = [], []
+    for below, t in enumerate(values):
+        if t != (ts[-1] if ts else 0):  # the first u at value t: `below` lie under it
+            ts.append(t)
+            counts.append(below)
+    return tuple(ts), tuple(counts)
+
+
+def _tying_levels(previous, n, k, costs, scale, bar, floor_colength):
+    """For the weights w of W(n, k), the values t at which an ideal a
+    with w(a) = t, lct(a) = A(w) / (scale t) and colength at least
+    floor_colength could still tie the bar, with A(w) = <costs, w>: the
+    (w, ts, counts, caps) with the lattice counts N_w(t) and the caps
+    floor(bar (scale t)^n / (n! A(w)^n)), keeping the t with N_w(t) and
+    floor_colength both at most the cap. The caps grow with t.
+
+    Two tests skip a weight before its counts are read. One is its
+    valuation volume A(w)^n / (scale^n prod w) above the bar: then no t
+    is kept, since N_w(t) >= t^n / (n! prod w), as the unit cubes at the
+    points under t cover the simplex <w, x> < t. The other is the cap at
+    the largest t, k min(w), below floor_colength. The bar only falls
+    during a scan, so the levels kept at a lower bar are among
+    ``previous``, the levels of a higher one, when given.
+    """
+    num, den = bar.numerator * scale**n, bar.denominator * math.factorial(n)
+    if previous is None:
+        previous = []
+        for w in _compact_normals(n, k):
+            volume = linalg.dot(costs, w) ** n
+            if volume * bar.denominator <= num * math.prod(w) and num * (k * min(w)) ** n >= floor_colength * den * volume:
+                previous.append((w, *_level_counts(w, k)))
+    out = []
+    for w, ts, counts, *_ in previous:
+        weight_den = den * linalg.dot(costs, w) ** n
+        first = bisect.bisect_left(ts, floor_colength * weight_den, key=lambda t: num * t**n)
+        kept = [
+            (t, count, cap)
+            for t, count in zip(ts[first:], counts[first:])
+            if (cap := num * t**n // weight_den) >= count
+        ]
+        if kept:
+            out.append((w, *map(tuple, zip(*kept))))
+    return out
+
+
 def _check_level_budget(n, k, mode):
     """Refuse level k past the budget of its mode: `monomials.ENUM_BUDGETS`
     in exact mode, `monomials.UPPER_BUDGETS` in upper mode (a dimension
@@ -538,21 +635,29 @@ def normalized_colength(model, c, k, mode="exact", stats=None):
     whenever any ideal is. Upper mode has no seed; on the default grid
     its first ideal, of weights (1, ..., 1), is m^k itself.
 
-    One cut against the bar decides every skip: given a lower bound L on
-    the colength, it tells whether n! lct^n L is strictly above the bar
-    for a given lct. Whatever that holds for can neither win nor tie.
-    - An ideal a is skipped unseen when the cut at L = l(a) holds for
+    Two lower bounds on n! lct^n colength decide every skip: whatever
+    they put strictly above the bar can neither win nor tie.
+    - An ideal a is skipped unseen when n! B^n l(a) is above the bar for
       B = max(sum (1-a_i)/d_i, max_g min_{g_i>0} (1-a_i)/g_i) over its
       pure degrees d_i and generators g. B is a lower bound for lct(a):
       a contains (x_1^{d_1}, ..., x_n^{d_n}) and each (x^g), and lct
       grows with the ideal (Howald).
     - Exact mode also skips whole subtrees of the staircase recursion
       (`monomials.enumerate_staircases` with its ``prune`` hook). Every
-      ideal below a node contains the node's smallest ideal a_min and has
-      colength at least L, the greater of c k^n rounded up and the fixed
-      column heights plus the floors of the open ones. The subtree goes
-      when the cut at that L holds for the floor B of lct(a_min), or else
-      for lct(a_min) itself from the facet pick on a_min's Newton facets.
+      ideal a below a node contains the node's smallest ideal a_min and
+      has colength at least L, the greater of c k^n rounded up and the
+      fixed column heights plus the floors of the open ones. lct(a) is
+      A(w) / t for a compact Newton facet <w, u> >= t of a, in cost
+      units, with A(w) = <costs, w>: w lies in W(n, k)
+      (`_compact_normals`), and t = w(a) <= w(a_min), a value of w on
+      N^n. No monomial u with <w, u> < t lies in a, so l(a) is also at
+      least the lattice count N_w(t) = #{u : <w, u> < t}. The subtree
+      goes when n! (A(w) / (scale t))^n max(L, N_w(t)) is above the bar
+      for every w in W(n, k) and every such t <= w(a_min). Each of these
+      terms is at least n! lct(a_min)^n L. Per bar, `_tying_levels`
+      keeps the weights and values that can still tie, with their
+      colength caps, so a node costs one least <w, g> over the
+      generators of a_min and one bisect per kept weight.
 
     Ties are never skipped, so the value and the argmin are those of the
     plain `_argmin` over the whole family. ``stats`` (a ScanStats) counts
@@ -574,6 +679,7 @@ def normalized_colength(model, c, k, mode="exact", stats=None):
             f"no ideal above m^{k} has colength >= {min_colength} (maximum is {full})",
             c=format_rational(c), k=k,
         )
+    floor_colength = max(1, min_colength)
     factor = math.factorial(n)
     costs, scale = model.integer_costs
 
@@ -581,17 +687,14 @@ def normalized_colength(model, c, k, mode="exact", stats=None):
         stats = ScanStats()
     bar = None  # the incumbent
 
-    def above(colength):
-        # the cut: whether n! lct^n colength is strictly above the bar, for
-        # lct = p / (scale q); cross-multiplied once per ideal or node
-        cut_p, cut_q = factor * colength * bar.denominator, bar.numerator * scale**n
-        return lambda p, q: cut_p * p**n > cut_q * q**n
-
     def unbeaten(ideal):
+        # whether n! B^n l(a) is at most the bar, for B = p / (scale q)
         stats.ideals_seen += 1
-        if bar is not None and above(ideal.colength())(*_lct_floor(costs, ideal.gens)):
-            stats.ideals_pruned += 1
-            return False
+        if bar is not None:
+            p, q = _lct_floor(costs, ideal.gens)
+            if factor * ideal.colength() * bar.denominator * p**n > bar.numerator * (scale * q) ** n:
+                stats.ideals_pruned += 1
+                return False
         return True
 
     def value(ideal):
@@ -603,19 +706,34 @@ def normalized_colength(model, c, k, mode="exact", stats=None):
             bar = v
         return v
 
+    ties = None  # `_tying_levels` cut at the bar `tied_at`
+    tied_at = None
+
     def prune(a_min, least_colength):
+        nonlocal ties, tied_at
         stats.nodes_visited += 1
-        cut = above(least_colength)
-        if not cut(*_lct_floor(costs, a_min.gens)):
-            p, _, q = _facet_pick(costs, a_min.newton_facets())
-            if not cut(p, q):
+        if ties is None:
+            ties, tied_at = _tying_levels(None, n, k, costs, scale, bar, floor_colength), bar
+        gens = a_min.gens
+        while True:
+            for i, (w, ts, _, caps) in enumerate(ties):
+                at = bisect.bisect_right(ts, min([sum(map(operator.mul, w, g)) for g in gens]))
+                if at and caps[at - 1] >= least_colength:
+                    break
+            else:
+                stats.subtrees_pruned += 1
+                return True
+            # levels cut at a higher bar keep more: a subtree they prune goes at
+            # any lower bar too, one they keep is asked again at this bar
+            if tied_at is bar:
+                if i:  # the next node likely survives through the same weight
+                    ties.insert(0, ties.pop(i))
                 return False
-        stats.subtrees_pruned += 1
-        return True
+            ties, tied_at = _tying_levels(ties, n, k, costs, scale, bar, floor_colength), bar
 
     _check_level_budget(n, k, mode)
     if mode == "exact":
-        ideals = monomials.enumerate_staircases(n, k, min_colength=max(1, min_colength), prune=prune)
+        ideals = monomials.enumerate_staircases(n, k, min_colength=floor_colength, prune=prune)
         bar = Fraction(factor * sum(costs) ** n * full, (scale * k) ** n)
     elif mode == "upper":
         ideals = _valuation_ideals(n, k, min_colength, DEFAULT_WEIGHT_RATIOS)

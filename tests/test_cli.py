@@ -103,7 +103,7 @@ class TestCommands:
         assert result_of(out)["c"] == "1/8"
 
     def test_hatl_stats(self, capsys, an2):
-        # at k = 6 the subtree bound skips 117 of the 157 inner nodes it
+        # at k = 6 the subtree bound skips 19 of the 25 inner nodes it
         # visits, so only two of the 417 ideals in range reach the argmin,
         # and the leaf bound rules out one of them
         code, out, _ = run(capsys, "hatl", "--model", an2, "--c", "1/8", "--k", "6")
@@ -113,8 +113,8 @@ class TestCommands:
             "ideals_pruned": 1,
             "ideals_seen": 2,
             "lct_evaluations": 1,
-            "nodes_visited": 157,
-            "subtrees_pruned": 117,
+            "nodes_visited": 25,
+            "subtrees_pruned": 19,
         }
         assert report["result"]["value"] == "14/3"
 

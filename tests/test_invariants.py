@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -410,11 +411,11 @@ class TestNormalizedColength:
     @pytest.mark.parametrize(
         "coeffs, c, ks, mode, counts",
         [
-            ((0, 0), F(1, 8), range(2, 9), "exact", (16, 9, 7, 1497, 1149)),
+            ((0, 0), F(1, 8), range(2, 9), "exact", (14, 7, 7, 140, 105)),
             ((F(1, 4), 0), F(1, 8), [60], "upper", (17, 14, 3, 0, 0)),
             ((0, F(5, 8)), F(1, 8), [60], "upper", (17, 10, 7, 0, 0)),
-            ((0, 0, 0), F(1, 24), [3], "exact", (2, 1, 1, 45, 27)),
-            ((0, 0, 0), F(1, 24), [4], "exact", (2, 1, 1, 254, 166)),
+            ((0, 0, 0), F(1, 24), [3], "exact", (2, 1, 1, 14, 8)),
+            ((0, 0, 0), F(1, 24), [4], "exact", (2, 1, 1, 28, 18)),
         ],
     )
     def test_scan_stats_pinned(self, coeffs, c, ks, mode, counts):
@@ -447,6 +448,38 @@ class TestNormalizedColength:
     def test_default_constant(self):
         assert I.default_scan_constant(2) == F(1, 8)
         assert I.default_scan_constant(3) == F(1, 24)
+
+
+class TestLatticeCountBound:
+    @pytest.mark.parametrize("n, k", [(2, 10), (3, 4)])
+    def test_compact_normals_hold_every_newton_facet(self, n, k):
+        # the subtree bound takes its minimum over W(n, k); a normal missing
+        # there can prune the optimum, and no scan need show it
+        normals = set(I._compact_normals(n, k))
+        facets = {normal for ideal in M.enumerate_staircases(n, k) for normal, _ in ideal.newton_facets()}
+        assert facets <= normals
+        assert any(max(w) >= k for w in facets)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_compact_normals_match_the_plain_triple_loop(self, k):
+        points = [u for u in itertools.product(range(k + 1), repeat=3) if sum(u) <= k]
+        expected = set()
+        for p, q, r in itertools.combinations(points, 3):
+            d, e = [b - a for a, b in zip(p, q)], [b - a for a, b in zip(p, r)]
+            w = (d[1] * e[2] - d[2] * e[1], d[2] * e[0] - d[0] * e[2], d[0] * e[1] - d[1] * e[0])
+            if all(x > 0 for x in w) or all(x < 0 for x in w):
+                g = math.gcd(*w)
+                expected.add(tuple(abs(x) // g for x in w))
+        assert set(I._compact_normals(3, k)) == expected
+        assert len(I._compact_normals(2, k)) == sum(math.gcd(p, q) == 1 for p in range(1, k + 1) for q in range(1, k + 1))
+
+    @pytest.mark.parametrize("w, k", [((1, 1), 5), ((3, 5), 4), ((1, 1, 1), 4), ((2, 3, 7), 3)])
+    def test_level_counts_are_strict_lattice_counts(self, w, k):
+        box = list(itertools.product(range(k * max(w) + 1), repeat=len(w)))
+        values = {linalg.dot(w, u) for u in box}
+        ts, counts = I._level_counts(w, k)
+        assert list(ts) == sorted(t for t in values if 0 < t <= k * min(w))
+        assert list(counts) == [sum(linalg.dot(w, u) < t for u in box) for t in ts]
 
 
 class TestConvergenceScan:
