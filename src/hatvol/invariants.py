@@ -563,7 +563,7 @@ def _level_counts(w, k):
     return tuple(ts), tuple(counts)
 
 
-def _tying_levels(previous, n, k, costs, scale, bar, floor_colength):
+def _tying_levels(levels, n, k, costs, scale, bar, floor_colength):
     """For the weights w of W(n, k), the values t at which an ideal a
     with w(a) = t, lct(a) = A(w) / (scale t) and colength at least
     floor_colength could still tie the bar, with A(w) = <costs, w>: the
@@ -571,23 +571,25 @@ def _tying_levels(previous, n, k, costs, scale, bar, floor_colength):
     floor(bar (scale t)^n / (n! A(w)^n)), keeping the t with N_w(t) and
     floor_colength both at most the cap. The caps grow with t.
 
-    Two tests skip a weight before its counts are read. One is its
-    valuation volume A(w)^n / (scale^n prod w) above the bar: then no t
-    is kept, since N_w(t) >= t^n / (n! prod w), as the unit cubes at the
-    points under t cover the simplex <w, x> < t. The other is the cap at
-    the largest t, k min(w), below floor_colength. The bar only falls
-    during a scan, so the levels kept at a lower bar are among
-    ``previous``, the levels of a higher one, when given.
+    ``levels`` holds (w, ts, counts) triples to cut. None stands for all
+    of W(n, k), and then two tests skip a weight before its counts are
+    read. One is its valuation volume A(w)^n / (scale^n prod w) above the
+    bar: then no t is kept, since N_w(t) >= t^n / (n! prod w), as the
+    unit cubes at the points under t cover the simplex <w, x> < t. The
+    other is the cap at the largest t, k min(w), below floor_colength.
+    The bar only falls during a scan, so the levels kept at a lower bar
+    are among those kept at a higher one.
     """
     num, den = bar.numerator * scale**n, bar.denominator * math.factorial(n)
-    if previous is None:
-        previous = []
-        for w in _compact_normals(n, k):
-            volume = linalg.dot(costs, w) ** n
-            if volume * bar.denominator <= num * math.prod(w) and num * (k * min(w)) ** n >= floor_colength * den * volume:
-                previous.append((w, *_level_counts(w, k)))
+    if levels is None:
+        levels = (
+            (w, *_level_counts(w, k))
+            for w in _compact_normals(n, k)
+            if (volume := linalg.dot(costs, w) ** n) * bar.denominator <= num * math.prod(w)
+            and num * (k * min(w)) ** n >= floor_colength * den * volume
+        )
     out = []
-    for w, ts, counts, *_ in previous:
+    for w, ts, counts in levels:
         weight_den = den * linalg.dot(costs, w) ** n
         first = bisect.bisect_left(ts, floor_colength * weight_den, key=lambda t: num * t**n)
         kept = [
@@ -716,7 +718,7 @@ def normalized_colength(model, c, k, mode="exact", stats=None):
             ties, tied_at = _tying_levels(None, n, k, costs, scale, bar, floor_colength), bar
         gens = a_min.gens
         while True:
-            for i, (w, ts, _, caps) in enumerate(ties):
+            for w, ts, _, caps in ties:
                 at = bisect.bisect_right(ts, min([sum(map(operator.mul, w, g)) for g in gens]))
                 if at and caps[at - 1] >= least_colength:
                     break
@@ -726,10 +728,9 @@ def normalized_colength(model, c, k, mode="exact", stats=None):
             # levels cut at a higher bar keep more: a subtree they prune goes at
             # any lower bar too, one they keep is asked again at this bar
             if tied_at is bar:
-                if i:  # the next node likely survives through the same weight
-                    ties.insert(0, ties.pop(i))
                 return False
-            ties, tied_at = _tying_levels(ties, n, k, costs, scale, bar, floor_colength), bar
+            ties = _tying_levels([level[:3] for level in ties], n, k, costs, scale, bar, floor_colength)
+            tied_at = bar
 
     _check_level_budget(n, k, mode)
     if mode == "exact":
